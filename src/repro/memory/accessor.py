@@ -22,8 +22,9 @@ from repro.errors import (
     AccessKind,
     ErrorKind,
     MemoryErrorEvent,
+    SegmentationFault,
 )
-from repro.memory.address_space import AddressSpace
+from repro.memory.address_space import DIRTY_SHIFT, AddressSpace
 from repro.memory.data_unit import DataUnit
 from repro.memory.object_table import ObjectTable
 from repro.memory.pointer import FatPointer
@@ -61,7 +62,10 @@ class MemoryAccessor:
         #: :meth:`invalidate_cache` (image restores, where the table is
         #: rebuilt without firing death hooks).
         self._cached_unit: Optional[DataUnit] = None
-        self._cache_enabled = decision_cache and policy.performs_checks
+        #: ``policy.performs_checks``, read once: the per-byte paths branch
+        #: on it for every access.
+        self._checks = policy.performs_checks
+        self._cache_enabled = decision_cache and self._checks
         if self._cache_enabled:
             object_table.add_death_hook(self._evict_dead_unit)
         #: Label describing the source location of the access, set by callers
@@ -311,46 +315,73 @@ class MemoryAccessor:
 
     # -- scalar helpers ----------------------------------------------------------------
 
+    # The per-byte accessors are the paper's instrumentation cost model: the
+    # servers' hand-modeled C loops call them once per byte.  Their in-bounds
+    # path is fused — bounds test, segment probe, raw load or store, raw-access
+    # count and dirty-block mark inline, with no call into the address space —
+    # and both builds share it, so the only per-byte difference between the
+    # Standard build and a checking build is the instrumentation itself: the
+    # policy check, the lookup charge (a real table bisect on a cache miss),
+    # and the bounds test.  Faults, classification and dirty tracking match
+    # :meth:`AddressSpace.read_byte` / :meth:`AddressSpace.write_byte` exactly.
+
     def read_byte(self, ptr: FatPointer) -> int:
-        """Read one unsigned byte (fast path for the common in-bounds case)."""
-        policy = self.policy
-        if not policy.performs_checks:
-            return self.space.read_byte(ptr.address)
-        policy.note_check()
+        """Read one unsigned byte through ``ptr`` under the active policy."""
         unit = ptr.referent
-        if unit is self._cached_unit:
-            self.table.lookups += 1
-            if 0 <= ptr.offset < unit.size:
-                return self.space.read_byte(ptr.address)
-        else:
-            self.table.find(ptr.address)
-            if unit.alive and 0 <= ptr.offset < unit.size:
+        offset = ptr.offset
+        if self._checks:
+            self.policy.note_check()
+            if unit is self._cached_unit:
+                # Cache hit: the unit is alive (cache invariant); only the
+                # bounds check remains.  The skipped bisect is still charged.
+                self.table.lookups += 1
+                if not 0 <= offset < unit.size:
+                    return self._invalid_read(ptr, 1)[0]
+            else:
+                self.table.find(unit.base + offset)
+                if not (unit.alive and 0 <= offset < unit.size):
+                    return self._invalid_read(ptr, 1)[0]
                 if self._cache_enabled:
                     self._cached_unit = unit
-                return self.space.read_byte(ptr.address)
-        return self._invalid_read(ptr, 1)[0]
+        address = unit.base + offset
+        space = self.space
+        segment = space.last_segment
+        if segment is None or not segment.base <= address < segment.end:
+            segment = space.find_segment(address)
+            if segment is None:
+                raise SegmentationFault(address)
+        space.raw_reads += 1
+        return segment.data[address - segment.base]
 
     def write_byte(self, ptr: FatPointer, value: int) -> None:
-        """Write one byte (fast path for the common in-bounds case)."""
-        policy = self.policy
-        if not policy.performs_checks:
-            self.space.write_byte(ptr.address, value)
-            return
-        policy.note_check()
+        """Write one byte through ``ptr`` under the active policy."""
         unit = ptr.referent
-        if unit is self._cached_unit:
-            self.table.lookups += 1
-            if 0 <= ptr.offset < unit.size:
-                self.space.write_byte(ptr.address, value)
-                return
-        else:
-            self.table.find(ptr.address)
-            if unit.alive and 0 <= ptr.offset < unit.size:
+        offset = ptr.offset
+        if self._checks:
+            self.policy.note_check()
+            if unit is self._cached_unit:
+                self.table.lookups += 1
+                if not 0 <= offset < unit.size:
+                    self._invalid_write(ptr, bytes([value & 0xFF]))
+                    return
+            else:
+                self.table.find(unit.base + offset)
+                if not (unit.alive and 0 <= offset < unit.size):
+                    self._invalid_write(ptr, bytes([value & 0xFF]))
+                    return
                 if self._cache_enabled:
                     self._cached_unit = unit
-                self.space.write_byte(ptr.address, value)
-                return
-        self._invalid_write(ptr, bytes([value & 0xFF]))
+        address = unit.base + offset
+        space = self.space
+        segment = space.last_segment
+        if segment is None or not segment.base <= address < segment.end:
+            segment = space.find_segment(address)
+            if segment is None:
+                raise SegmentationFault(address)
+        space.raw_writes += 1
+        at = address - segment.base
+        segment.data[at] = value & 0xFF
+        segment.dirty.add(at >> DIRTY_SHIFT)
 
     def read_int(self, ptr: FatPointer, size: int = 4, signed: bool = True) -> int:
         """Read a little-endian integer of ``size`` bytes."""

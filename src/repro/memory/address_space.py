@@ -33,7 +33,11 @@ STACK_BASE = 0x7000_0000
 #: touched since the checkpoint, so a restart costs O(dirty bytes) rather than
 #: O(address-space size).
 DIRTY_BLOCK = 4096
-_DIRTY_SHIFT = DIRTY_BLOCK.bit_length() - 1
+#: The dirty-block rule: a store at segment offset ``o`` dirties block
+#: ``o >> DIRTY_SHIFT``.  Every store path applies it — :meth:`Segment.mark_dirty`
+#: for ranges, :meth:`AddressSpace.write_byte` and the accessor's fused byte
+#: store for single bytes.
+DIRTY_SHIFT = DIRTY_BLOCK.bit_length() - 1
 
 #: Global epoch source for checkpoints.  Epochs are only compared for
 #: equality: a restore may take the dirty-block fast path only when the space
@@ -62,19 +66,19 @@ class Segment:
     #: resize.  (Kept out of ``__eq__``: identity of the backing buffer is
     #: what matters, and ``data`` is already compared.)
     view: memoryview = field(init=False, repr=False, compare=False)
+    #: One past the last mapped address.  A plain field, not a property: the
+    #: per-byte paths test ``base <= address < end`` on every access, and
+    #: segments never resize.
+    end: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.view = memoryview(self.data).toreadonly()
+        self.end = self.base + len(self.data)
 
     @property
     def size(self) -> int:
         """Number of mapped bytes in this segment."""
         return len(self.data)
-
-    @property
-    def end(self) -> int:
-        """One past the last mapped address."""
-        return self.base + len(self.data)
 
     def contains(self, address: int, length: int = 1) -> bool:
         """True if ``[address, address + length)`` lies entirely inside the segment."""
@@ -82,7 +86,7 @@ class Segment:
 
     def mark_dirty(self, start: int, length: int) -> None:
         """Record that ``[start, start + length)`` (segment offsets) was written."""
-        self.dirty.update(range(start >> _DIRTY_SHIFT, (start + length - 1 >> _DIRTY_SHIFT) + 1))
+        self.dirty.update(range(start >> DIRTY_SHIFT, (start + length - 1 >> DIRTY_SHIFT) + 1))
 
 
 @dataclass(frozen=True)
@@ -190,9 +194,12 @@ class AddressSpace:
         #: uniform measure of work done independent of the policy in force.
         self.raw_reads = 0
         self.raw_writes = 0
-        #: Most recently hit segment; the byte fast paths below probe it first
-        #: because consecutive accesses overwhelmingly hit the same segment.
-        self._last_segment: Optional[Segment] = None
+        #: Most recently hit segment; the byte fast paths (here and in the
+        #: accessor) probe it first because consecutive accesses
+        #: overwhelmingly hit the same segment.  Reset to None whenever the
+        #: layout may have changed (restores), so a probe never reaches an
+        #: unmapped segment.
+        self.last_segment: Optional[Segment] = None
         #: Epoch of the checkpoint the dirty sets are tracked against, or None
         #: when no checkpoint has been taken (or the layout changed since).
         self._clean_epoch: Optional[int] = None
@@ -244,7 +251,7 @@ class AddressSpace:
         """Return the segment containing ``[address, address+length)`` or None."""
         for segment in self._ordered:
             if segment.contains(address, length):
-                self._last_segment = segment
+                self.last_segment = segment
                 return segment
         return None
 
@@ -298,7 +305,7 @@ class AddressSpace:
 
     def read_byte(self, address: int) -> int:
         """Read one raw byte (fast path probing the most recent segment first)."""
-        segment = self._last_segment
+        segment = self.last_segment
         if segment is None or not (segment.base <= address < segment.end):
             segment = self.find_segment(address, 1)
             if segment is None:
@@ -308,7 +315,7 @@ class AddressSpace:
 
     def write_byte(self, address: int, value: int) -> None:
         """Write one raw byte (fast path probing the most recent segment first)."""
-        segment = self._last_segment
+        segment = self.last_segment
         if segment is None or not (segment.base <= address < segment.end):
             segment = self.find_segment(address, 1)
             if segment is None:
@@ -316,7 +323,7 @@ class AddressSpace:
         self.raw_writes += 1
         offset = address - segment.base
         segment.data[offset] = value & 0xFF
-        segment.dirty.add(offset >> _DIRTY_SHIFT)
+        segment.dirty.add(offset >> DIRTY_SHIFT)
 
     def find_byte(self, address: int, value: int, length: int,
                   charge_reads: bool = True) -> int:
@@ -406,7 +413,7 @@ class AddressSpace:
             entries = []
             view = segment.view
             for index in sorted(segment.dirty):
-                start = index << _DIRTY_SHIFT
+                start = index << DIRTY_SHIFT
                 entries.append((index, bytes(view[start : start + DIRTY_BLOCK])))
             blocks.append((segment.name, tuple(entries)))
             segment.touched |= segment.dirty
@@ -445,7 +452,7 @@ class AddressSpace:
         for segment in self._ordered:
             data = segment.data
             for index, payload in updates.get(segment.name, ()):
-                start = index << _DIRTY_SHIFT
+                start = index << DIRTY_SHIFT
                 data[start : start + len(payload)] = payload
                 written += 1
             new_touched = touched.get(segment.name)
@@ -454,7 +461,7 @@ class AddressSpace:
             segment.dirty.clear()
         self.raw_reads = raw_reads
         self.raw_writes = raw_writes
-        self._last_segment = None
+        self.last_segment = None
         self._clean_epoch = epoch
         return written
 
@@ -491,16 +498,16 @@ class AddressSpace:
             cp_touched = touched_map.get(name)
             if fast:
                 for start_block, end_block in _block_runs(sorted(segment.dirty)):
-                    start = start_block << _DIRTY_SHIFT
-                    end = end_block << _DIRTY_SHIFT
+                    start = start_block << DIRTY_SHIFT
+                    end = end_block << DIRTY_SHIFT
                     data[start:end] = contents[start:end]
             elif cp_touched is not None:
                 # Sparse cross-space restore: blocks untouched on both sides
                 # are zero on both sides and need no copy.
                 stale = set(cp_touched) | segment.touched | segment.dirty
                 for start_block, end_block in _block_runs(sorted(stale)):
-                    start = start_block << _DIRTY_SHIFT
-                    end = end_block << _DIRTY_SHIFT
+                    start = start_block << DIRTY_SHIFT
+                    end = end_block << DIRTY_SHIFT
                     data[start:end] = contents[start:end]
             else:
                 data[:] = contents
@@ -512,5 +519,5 @@ class AddressSpace:
             segment.dirty.clear()
         self.raw_reads = cp.raw_reads
         self.raw_writes = cp.raw_writes
-        self._last_segment = None
+        self.last_segment = None
         self._clean_epoch = cp.epoch

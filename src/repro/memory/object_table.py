@@ -141,7 +141,8 @@ class ObjectTable:
         if index < 0:
             return None
         unit = self._units[index]
-        if unit.contains_address(address):
+        # ``unit.base <= address`` holds by the bisect; only the end remains.
+        if address < unit.base + unit.size:
             return unit
         return None
 

@@ -11,13 +11,12 @@ or is absorbed obliviously is decided by the active policy, not by the pointer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from typing import Union
 
 from repro.memory.data_unit import DataUnit, NULL_UNIT
 
 
-@dataclass(frozen=True, slots=True)
 class FatPointer:
     """A typed pointer into the simulated address space.
 
@@ -29,10 +28,42 @@ class FatPointer:
         Byte offset relative to the referent's base.  May be negative or past
         the end of the unit; such pointers are legal to hold (and compare) but
         dereferencing them is a memory error.
+
+    Pointers are immutable values: equality and hashing are structural over
+    ``(referent, offset)`` (the referent by identity), and assigning or
+    deleting a field raises :class:`dataclasses.FrozenInstanceError`.  Every
+    per-byte loop allocates one pointer per step (``cursor = cursor + 1``), so
+    construction and arithmetic write the two slots straight through their
+    descriptors, the one way past the frozen ``__setattr__``.
     """
 
+    __slots__ = ("referent", "offset")
+
     referent: DataUnit
-    offset: int = 0
+    offset: int
+
+    def __init__(self, referent: DataUnit, offset: int = 0) -> None:
+        _set_referent(self, referent)
+        _set_offset(self, offset)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # Rebuild through the constructor: the default slot-state protocol
+        # would restore the fields with setattr, which is frozen.
+        return FatPointer, (self.referent, self.offset)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not FatPointer:
+            return NotImplemented
+        return self.referent is other.referent and self.offset == other.offset
+
+    def __hash__(self) -> int:
+        return hash((self.referent, self.offset))
 
     # -- constructors -------------------------------------------------------------
 
@@ -81,17 +112,23 @@ class FatPointer:
 
     def __add__(self, delta: int) -> "FatPointer":
         """Pointer arithmetic: ``p + n`` moves ``n`` bytes forward."""
-        return FatPointer(self.referent, self.offset + delta)
+        moved = _new_pointer(FatPointer)
+        _set_referent(moved, self.referent)
+        _set_offset(moved, self.offset + delta)
+        return moved
 
     def __sub__(self, other: Union[int, "FatPointer"]) -> Union["FatPointer", int]:
         """``p - n`` moves backwards; ``p - q`` yields the byte distance."""
         if isinstance(other, FatPointer):
             return self.address - other.address
-        return FatPointer(self.referent, self.offset - other)
+        moved = _new_pointer(FatPointer)
+        _set_referent(moved, self.referent)
+        _set_offset(moved, self.offset - other)
+        return moved
 
     def advance(self, delta: int = 1) -> "FatPointer":
         """Alias for ``self + delta`` that reads naturally in loops."""
-        return FatPointer(self.referent, self.offset + delta)
+        return self + delta
 
     # -- comparisons --------------------------------------------------------------
     #
@@ -118,3 +155,8 @@ class FatPointer:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         marker = "" if self.in_bounds else " OOB"
         return f"<FatPointer {self.referent.label()}+{self.offset}{marker}>"
+
+
+_new_pointer = object.__new__
+_set_referent = FatPointer.referent.__set__
+_set_offset = FatPointer.offset.__set__

@@ -128,6 +128,7 @@ class ApacheServer(Server):
     def _parse_configuration_text(self) -> None:
         """Scan a httpd.conf-like text through simulated memory (startup cost)."""
         ctx = self.ctx
+        mem = ctx.mem
         ctx.set_site("apache.read_config")
         lines = [f"RewriteRule {rule.pattern} {rule.replacement}" for rule in self.rewrite_rules]
         lines += [f"# document {path} ({len(data)} bytes)" for path, data in self.files.items()]
@@ -136,14 +137,14 @@ class ApacheServer(Server):
         conf = ctx.malloc(len(text) + 1, name="httpd_conf")
         cursor = conf
         for byte in text:
-            ctx.mem.write_byte(cursor, byte)
+            mem.write_byte(cursor, byte)
             cursor = cursor + 1
-        ctx.mem.write_byte(cursor, 0)
+        mem.write_byte(cursor, 0)
         # Tokenize the configuration (byte scan) to model directive parsing.
         directives = 0
         scan = conf
         for _ in range(len(text)):
-            if ctx.mem.read_byte(scan) == ord("\n"):
+            if mem.read_byte(scan) == ord("\n"):
                 directives += 1
             scan = scan + 1
         self._directive_count = directives

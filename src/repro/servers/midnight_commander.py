@@ -328,14 +328,15 @@ class MidnightCommanderServer(Server):
     def _record_operation(self, note: str) -> None:
         """Append an entry to the session log through simulated memory."""
         ctx = self.ctx
+        mem = ctx.mem
         ctx.set_site("mc.session_log")
         data = note.encode() + b"\n"
         buf = ctx.malloc(len(data) + 1, name="session_log_entry")
         cursor = buf
         for byte in data:
-            ctx.mem.write_byte(cursor, byte)
+            mem.write_byte(cursor, byte)
             cursor = cursor + 1
-        ctx.mem.write_byte(cursor, 0)
+        mem.write_byte(cursor, 0)
         ctx.free(buf)
         ctx.set_site("")
 

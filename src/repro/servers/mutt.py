@@ -181,15 +181,16 @@ class MuttServer(Server):
     def _format_message(self, message: Dict[str, bytes]) -> bytes:
         """Build the pager display for one message through simulated memory."""
         ctx = self.ctx
+        mem = ctx.mem
         ctx.set_site("mutt.format_message")
         header = b"From: " + message["from"] + b"\nSubject: " + message["subject"] + b"\n\n"
         text = header + message.get("body", b"") + b"\n"
         buf = ctx.malloc(len(text) + 1, name="pager_buffer")
         cursor = buf
         for byte in text:
-            ctx.mem.write_byte(cursor, byte)
+            mem.write_byte(cursor, byte)
             cursor = cursor + 1
-        ctx.mem.write_byte(cursor, 0)
+        mem.write_byte(cursor, 0)
         display = ctx.read_c_string(buf)
         ctx.free(buf)
         ctx.set_site("")

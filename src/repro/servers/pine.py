@@ -121,6 +121,7 @@ class PineServer(Server):
         ``2 * len(from_field) + 1``.
         """
         ctx = self.ctx
+        mem = ctx.mem
         ctx.set_site("pine.quote_from_field")
         source = ctx.alloc_c_string(from_field, name="from_field")
         estimated = len(from_field) + LENGTH_ESTIMATE_SLACK + 1
@@ -128,16 +129,16 @@ class PineServer(Server):
         src = source
         dst = display
         while True:
-            byte = ctx.mem.read_byte(src)
+            byte = mem.read_byte(src)
             if byte == 0:
                 break
             if byte in QUOTED_CHARS:
-                ctx.mem.write_byte(dst, ord("\\"))
+                mem.write_byte(dst, ord("\\"))
                 dst = dst + 1
-            ctx.mem.write_byte(dst, byte)
+            mem.write_byte(dst, byte)
             dst = dst + 1
             src = src + 1
-        ctx.mem.write_byte(dst, 0)
+        mem.write_byte(dst, 0)
         quoted = ctx.read_c_string(display)
         ctx.free(display)
         ctx.free(source)
@@ -147,22 +148,23 @@ class PineServer(Server):
     def _quote_from_field_correct(self, from_field: bytes) -> bytes:
         """The correct translation used when a message is selected (§4.2.2)."""
         ctx = self.ctx
+        mem = ctx.mem
         ctx.set_site("pine.quote_from_field_correct")
         source = ctx.alloc_c_string(from_field, name="from_field")
         display = ctx.malloc(2 * len(from_field) + 1, name="from_display_full")
         src = source
         dst = display
         while True:
-            byte = ctx.mem.read_byte(src)
+            byte = mem.read_byte(src)
             if byte == 0:
                 break
             if byte in QUOTED_CHARS:
-                ctx.mem.write_byte(dst, ord("\\"))
+                mem.write_byte(dst, ord("\\"))
                 dst = dst + 1
-            ctx.mem.write_byte(dst, byte)
+            mem.write_byte(dst, byte)
             dst = dst + 1
             src = src + 1
-        ctx.mem.write_byte(dst, 0)
+        mem.write_byte(dst, 0)
         quoted = ctx.read_c_string(display)
         ctx.free(display)
         ctx.free(source)
@@ -222,14 +224,15 @@ class PineServer(Server):
     def _render_screen(self, lines: List[bytes]) -> bytes:
         """Assemble a screen image byte by byte through simulated memory."""
         ctx = self.ctx
+        mem = ctx.mem
         ctx.set_site("pine.render_screen")
         text = b"\n".join(lines) + b"\n"
         buf = ctx.malloc(len(text) + 1, name="screen_buffer")
         cursor = buf
         for byte in text:
-            ctx.mem.write_byte(cursor, byte)
+            mem.write_byte(cursor, byte)
             cursor = cursor + 1
-        ctx.mem.write_byte(cursor, 0)
+        mem.write_byte(cursor, 0)
         rendered = ctx.read_c_string(buf)
         ctx.free(buf)
         ctx.set_site("")

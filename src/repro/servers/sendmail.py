@@ -95,14 +95,15 @@ class SendmailServer(Server):
         logged-and-ignored one under Failure Oblivious.
         """
         ctx = self.ctx
+        mem = ctx.mem
         ctx.set_site("sendmail.daemon_wakeup")
         flags = ctx.malloc(4, name="queue_flags")
         for i in range(4):
-            ctx.mem.write_byte(flags + i, ord("."))
+            mem.write_byte(flags + i, ord("."))
         # Off-by-one scan: <= instead of < walks one byte past the buffer.
         seen = []
         for i in range(4 + 1):
-            seen.append(ctx.mem.read_byte(flags + i))
+            seen.append(mem.read_byte(flags + i))
         ctx.free(flags)
         ctx.set_site("")
 

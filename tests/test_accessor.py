@@ -266,3 +266,116 @@ class TestDecisionCache:
         buf = ctx.malloc(8)
         ctx.mem.write(buf, b"a")
         assert ctx.mem._cached_unit is None
+
+
+class TestFusedBytePath:
+    """The fused per-byte fast path against its unfused reference.
+
+    ``write(ptr, 1 byte)`` / ``read(ptr, 1)`` take the span path: the policy
+    check, the lookup charge, and then a separate call into
+    :class:`AddressSpace`.  A twin context driven through them is the
+    reference each scenario compares against — the byte accessors must
+    fault, classify, count and mark dirty blocks exactly like it, on the
+    unchecked build and on a checking one.
+    """
+
+    POLICIES = ("standard", "failure-oblivious")
+
+    @staticmethod
+    def _twins(policy_name):
+        from tests.conftest import POLICY_CLASSES
+
+        return [MemoryContext(POLICY_CLASSES[policy_name]()) for _ in range(2)]
+
+    @staticmethod
+    def _write(ctx, fused, ptr, value):
+        if fused:
+            ctx.mem.write_byte(ptr, value)
+        else:
+            ctx.mem.write(ptr, bytes([value]))
+
+    @staticmethod
+    def _read(ctx, fused, ptr):
+        return ctx.mem.read_byte(ptr) if fused else ctx.mem.read(ptr, 1)[0]
+
+    @staticmethod
+    def _observe(ctx):
+        return {
+            "checks": ctx.policy.stats.as_dict(),
+            "lookups": ctx.table.lookups,
+            "raw": (ctx.space.raw_reads, ctx.space.raw_writes),
+            "dirty": {s.name: sorted(s.dirty) for s in ctx.space.segments()},
+            "segments": {s.name: bytes(s.data) for s in ctx.space.segments()},
+            "events": [(e.kind, e.access, e.offset, e.length) for e in ctx.error_log.events()],
+        }
+
+    @pytest.mark.parametrize("policy_name", POLICIES)
+    def test_access_after_restore_unmapped_the_segment_faults(self, policy_name):
+        from repro.memory.data_unit import UnitKind, make_unit
+
+        observed = []
+        for fused, ctx in zip((True, False), self._twins(policy_name)):
+            image = ctx.checkpoint()
+            ctx.space.map_segment("scratch", 0x5000_0000, 4096)
+            ptr = FatPointer(make_unit("scratch", 0x5000_0000, 64, UnitKind.GLOBAL), 3)
+            self._write(ctx, fused, ptr, 0x41)
+            # "scratch" is now the segment the byte paths probe first.
+            assert self._read(ctx, fused, ptr) == 0x41
+            ctx.restore(image)  # a cross-layout restore unmaps "scratch"
+            with pytest.raises(SegmentationFault):
+                self._write(ctx, fused, ptr, 0x42)
+            with pytest.raises(SegmentationFault):
+                self._read(ctx, fused, ptr)
+            observed.append(self._observe(ctx))
+        assert observed[0] == observed[1]
+
+    @pytest.mark.parametrize("policy_name", POLICIES)
+    def test_stale_pointer_after_free_and_same_base_malloc(self, policy_name):
+        observed = []
+        for fused, ctx in zip((True, False), self._twins(policy_name)):
+            old = ctx.malloc(16)
+            self._write(ctx, fused, old + 1, 0x11)  # caches the unit
+            ctx.free(old)
+            new = ctx.malloc(16)
+            assert new.address == old.address and new.referent is not old.referent
+            self._write(ctx, fused, old + 2, 0x22)  # use after free (or raw)
+            self._write(ctx, fused, new + 3, 0x33)
+            observed.append((
+                self._read(ctx, fused, old + 2),
+                self._read(ctx, fused, new + 3),
+                self._observe(ctx),
+            ))
+        assert observed[0] == observed[1]
+        if policy_name == "failure-oblivious":
+            kinds = [kind for kind, *_ in observed[0][2]["events"]]
+            assert kinds == [ErrorKind.USE_AFTER_FREE, ErrorKind.USE_AFTER_FREE]
+
+    @pytest.mark.parametrize("policy_name", POLICIES)
+    def test_delta_and_fast_restore_match_the_raw_byte_store(self, policy_name):
+        """Dirty marks from the fused store equal AddressSpace.write_byte's."""
+        fused_ctx, raw_ctx = self._twins(policy_name)
+        offsets = (0, 1, 4095, 4096, 9000, 12287, 12288)
+        results = []
+        for ctx, store in (
+            (fused_ctx, lambda ctx, ptr, v: ctx.mem.write_byte(ptr, v)),
+            (raw_ctx, lambda ctx, ptr, v: ctx.space.write_byte(ptr.address, v)),
+        ):
+            buf = ctx.malloc(16384)
+            ctx.checkpoint()
+            for i, offset in enumerate(offsets):
+                store(ctx, buf + offset, 0x60 + i)
+            delta = ctx.delta_checkpoint().space
+            image = ctx.checkpoint()
+            for i, offset in enumerate(reversed(offsets)):
+                store(ctx, buf + offset + 1, 0x70 + i)
+            dirty = {s.name: sorted(s.dirty) for s in ctx.space.segments()}
+            assert ctx.space.clean_epoch == image.space.epoch  # fast-path restore
+            ctx.restore(image)
+            results.append((
+                delta.blocks,
+                dirty,
+                {s.name: bytes(s.data) for s in ctx.space.segments()},
+                ctx.space.raw_writes,
+            ))
+        assert results[0] == results[1]
+        assert dict(results[0][0])["heap"]  # the delta really captured the stores

@@ -24,7 +24,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import MemoryFault
 from repro.memory.pointer import FatPointer
-from repro.minic import interpreter as minic_interpreter
 from repro.minic.interpreter import TypedPointer
 from repro.minic.lower import compile_program, lowered_count
 from repro.telemetry.sinks import CounterSink
@@ -93,9 +92,17 @@ def _observe(instance, outcome):
     }
 
 
+#: The loop budget both builds run under.  Far above every terminating loop
+#: the templates below can produce (buffers are at most 48 bytes, counts at
+#: most 96), small enough that a drawn runaway (an unterminated copy or scan
+#: under redirect or Standard) hits the guard in milliseconds instead of
+#: tree-walking the default 1,000,000 iterations.
+LOOP_LIMIT = 512
+
+
 def _run_build(source, lower, policy_name, calls):
     """Compile one build, run the call list, and return the observation."""
-    program = compile_program(source, lower=lower)
+    program = compile_program(source, lower=lower, loop_limit=LOOP_LIMIT)
     if lower:
         assert lowered_count(program.unit) > 0, "template produced nothing to lower"
     instance = program.instantiate(POLICY_CLASSES[policy_name]())
@@ -278,17 +285,12 @@ class TestUseAfterFree:
 class TestRunawayGuard:
     """A runaway loop hits the same InfiniteLoopGuard on both builds.
 
-    ``LOOP_LIMIT`` is shrunk for the duration: both the tree-walk loop
-    counter and the lowered span helpers read the module global at call
-    time, so the guard must fire after identical byte counts.
+    Both builds share ``LOOP_LIMIT``: the tree-walk loop counter and the
+    lowered span helpers read the program's budget, so the guard must fire
+    after identical byte counts.
     """
 
     @pytest.mark.parametrize("policy", ["failure-oblivious", "boundless"])
     def test_negative_count_fill_exhausts_the_budget(self, policy):
-        original = minic_interpreter.LOOP_LIMIT
-        minic_interpreter.LOOP_LIMIT = 512
-        try:
-            source = FILL_SOURCE.format(size=8, start=0)
-            _assert_equivalent(source, policy, [("fill_while", (-1, 7))])
-        finally:
-            minic_interpreter.LOOP_LIMIT = original
+        source = FILL_SOURCE.format(size=8, start=0)
+        _assert_equivalent(source, policy, [("fill_while", (-1, 7))])

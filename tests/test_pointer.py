@@ -1,5 +1,12 @@
 """Tests for fat pointers (Ruwase & Lam style intended referents)."""
 
+import copy
+import pickle
+from dataclasses import FrozenInstanceError
+
+import pytest
+from hypothesis import given, strategies as st
+
 from repro.memory.data_unit import NULL_UNIT, UnitKind, make_unit
 from repro.memory.pointer import FatPointer
 
@@ -109,3 +116,70 @@ class TestComparisons:
         ptr = make_ptr()
         assert ptr + 1 == ptr + 1
         assert ptr + 1 != ptr + 2
+
+
+# -- value semantics (properties) ------------------------------------------------
+#
+# Pointers are values: handler-state snapshots deep-copy them, checkpoints
+# pickle them, and the servers use them as dict keys.  These properties pin
+# the semantics any representation of FatPointer must keep.
+
+#: A small shared pool, so drawn pointers often share (or collide on) units.
+UNITS = [
+    make_unit(name=f"u{i}", base=base, size=size, kind=UnitKind.HEAP)
+    for i, (base, size) in enumerate([(1000, 16), (1016, 8), (5000, 64), (1000, 16)])
+]
+offsets = st.integers(min_value=-300, max_value=300)
+pointers = st.builds(FatPointer, st.sampled_from(UNITS), offsets)
+
+
+class TestValueSemantics:
+    @given(pointers, pointers)
+    def test_equality_is_structural_and_agrees_with_hash(self, p, q):
+        same = p.referent is q.referent and p.offset == q.offset
+        assert (p == q) is same
+        assert (p != q) is not same
+        if p == q:
+            assert hash(p) == hash(q)
+        assert len({p, q, FatPointer(p.referent, p.offset)}) == (1 if same else 2)
+
+    @given(pointers, offsets)
+    def test_add_then_subtract_is_identity(self, p, n):
+        assert (p + n) - n == p
+        assert p.advance(n) == p + n
+        assert (p + n).referent is p.referent
+
+    @given(pointers, pointers)
+    def test_ordering_follows_addresses(self, p, q):
+        assert (p < q) is (p.address < q.address)
+        assert (p <= q) is (p.address <= q.address)
+        assert (p > q) is (p.address > q.address)
+        assert (p >= q) is (p.address >= q.address)
+        assert p - q == p.address - q.address
+
+    @given(pointers)
+    def test_pickle_round_trip(self, p):
+        unit, q = pickle.loads(pickle.dumps((p.referent, p)))
+        assert q.referent is unit
+        assert q == FatPointer(unit, p.offset)
+        assert (unit.label(), unit.base, unit.size, unit.alive) == (
+            p.referent.label(), p.referent.base, p.referent.size, p.referent.alive
+        )
+
+    @given(pointers)
+    def test_deepcopy_round_trip(self, p):
+        unit, q = copy.deepcopy((p.referent, p))
+        assert q.referent is unit and unit is not p.referent
+        assert q == FatPointer(unit, p.offset)
+        assert copy.copy(p) == p and copy.copy(p).referent is p.referent
+        # A memo that maps the unit to itself keeps the referent shared.
+        assert copy.deepcopy(p, {id(p.referent): p.referent}) == p
+
+    @given(pointers, st.sampled_from(["referent", "offset"]))
+    def test_fields_are_frozen(self, p, name):
+        before = (p.referent, p.offset)
+        with pytest.raises(FrozenInstanceError):
+            setattr(p, name, 0)
+        with pytest.raises(FrozenInstanceError):
+            delattr(p, name)
+        assert (p.referent, p.offset) == before
