@@ -62,8 +62,9 @@ class MemoryAccessor:
         #: :meth:`invalidate_cache` (image restores, where the table is
         #: rebuilt without firing death hooks).
         self._cached_unit: Optional[DataUnit] = None
-        #: ``policy.performs_checks``, read once: the per-byte paths branch
-        #: on it for every access.
+        #: ``policy.performs_checks``, read once: it is a class-level fact of
+        #: the policy, fixed for the accessor's lifetime (like
+        #: ``_cache_enabled``), and every access path branches on it.
         self._checks = policy.performs_checks
         self._cache_enabled = decision_cache and self._checks
         if self._cache_enabled:
@@ -129,7 +130,7 @@ class MemoryAccessor:
         if length <= 0:
             return b""
         policy = self.policy
-        if not policy.performs_checks:
+        if not self._checks:
             return self.space.read(ptr.address, length)
         policy.note_check()
         unit = ptr.referent
@@ -209,7 +210,7 @@ class MemoryAccessor:
         if not data:
             return
         policy = self.policy
-        if not policy.performs_checks:
+        if not self._checks:
             self.space.write(ptr.address, data)
             return
         policy.note_check()
@@ -323,7 +324,8 @@ class MemoryAccessor:
     # Standard build and a checking build is the instrumentation itself: the
     # policy check, the lookup charge (a real table bisect on a cache miss),
     # and the bounds test.  Faults, classification and dirty tracking match
-    # :meth:`AddressSpace.read_byte` / :meth:`AddressSpace.write_byte` exactly.
+    # one-byte :meth:`AddressSpace.read` / :meth:`AddressSpace.write` calls
+    # exactly; the address space has no per-byte load or store of its own.
 
     def read_byte(self, ptr: FatPointer) -> int:
         """Read one unsigned byte through ``ptr`` under the active policy."""
@@ -424,7 +426,7 @@ class MemoryAccessor:
         Pure query: no policy bookkeeping is performed.  Returns 0 when every
         access at ``ptr`` must go through the policy (or would fault).
         """
-        if not self.policy.performs_checks:
+        if not self._checks:
             segment = self.space.find_segment(ptr.address)
             return 0 if segment is None else segment.end - ptr.address
         return ptr.remaining()
@@ -436,9 +438,8 @@ class MemoryAccessor:
         after ``scan_span(ptr) > 0``, which guarantees the referent is alive
         and the span in bounds, so the unit may be cached directly.
         """
-        policy = self.policy
-        if policy.performs_checks:
-            policy.note_check()
+        if self._checks:
+            self.policy.note_check()
             if ptr.referent is self._cached_unit:
                 self.table.lookups += 1
             else:
@@ -454,8 +455,7 @@ class MemoryAccessor:
         consult it too when deciding whether an overflowing copy can stream
         whole chunks through the batched continuation.
         """
-        policy = self.policy
-        return policy.performs_checks and policy.supports_runs
+        return self._checks and self.policy.supports_runs
 
     def _invalid_run_length(self, ptr: FatPointer, length: int) -> int:
         """Length of the contiguous invalid run starting at ``ptr``.

@@ -35,8 +35,8 @@ STACK_BASE = 0x7000_0000
 DIRTY_BLOCK = 4096
 #: The dirty-block rule: a store at segment offset ``o`` dirties block
 #: ``o >> DIRTY_SHIFT``.  Every store path applies it — :meth:`Segment.mark_dirty`
-#: for ranges, :meth:`AddressSpace.write_byte` and the accessor's fused byte
-#: store for single bytes.
+#: for ranges, the accessor's fused byte store (the only per-byte store) for
+#: single bytes.
 DIRTY_SHIFT = DIRTY_BLOCK.bit_length() - 1
 
 #: Global epoch source for checkpoints.  Epochs are only compared for
@@ -302,28 +302,6 @@ class AddressSpace:
         start = address - segment.base
         segment.data[start : start + len(data)] = data
         segment.mark_dirty(start, len(data))
-
-    def read_byte(self, address: int) -> int:
-        """Read one raw byte (fast path probing the most recent segment first)."""
-        segment = self.last_segment
-        if segment is None or not (segment.base <= address < segment.end):
-            segment = self.find_segment(address, 1)
-            if segment is None:
-                raise SegmentationFault(address)
-        self.raw_reads += 1
-        return segment.data[address - segment.base]
-
-    def write_byte(self, address: int, value: int) -> None:
-        """Write one raw byte (fast path probing the most recent segment first)."""
-        segment = self.last_segment
-        if segment is None or not (segment.base <= address < segment.end):
-            segment = self.find_segment(address, 1)
-            if segment is None:
-                raise SegmentationFault(address)
-        self.raw_writes += 1
-        offset = address - segment.base
-        segment.data[offset] = value & 0xFF
-        segment.dirty.add(offset >> DIRTY_SHIFT)
 
     def find_byte(self, address: int, value: int, length: int,
                   charge_reads: bool = True) -> int:

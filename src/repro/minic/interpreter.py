@@ -31,7 +31,7 @@ from repro.memory.pointer import FatPointer
 from repro.minic import ast_nodes as ast
 from repro.minic.stdlib import BUILTINS
 
-#: Default iteration budget per loop construct (see :attr:`Program.loop_limit`).
+#: Iteration budget per loop construct.
 LOOP_LIMIT = 1_000_000
 
 
@@ -141,14 +141,9 @@ class StructLayout:
 class ProgramInstance:
     """One program bound to one memory context (one "compiled" process image)."""
 
-    def __init__(
-        self, unit: ast.TranslationUnit, ctx: MemoryContext, loop_limit: int = LOOP_LIMIT
-    ) -> None:
+    def __init__(self, unit: ast.TranslationUnit, ctx: MemoryContext) -> None:
         self.unit = unit
         self.ctx = ctx
-        #: Iteration budget per loop construct, shared by the tree-walk loops
-        #: and the lowered span operations.
-        self.loop_limit = loop_limit
         self.globals: Dict[str, VarSlot] = {}
         #: Bytes emitted by the ``putchar``/``puts`` builtins, for tests.
         self.output = bytearray()
@@ -368,7 +363,7 @@ class ProgramInstance:
             iterations = 0
             while self._truthy(self._eval(statement.condition, env)):
                 iterations += 1
-                if iterations > self.loop_limit:
+                if iterations > LOOP_LIMIT:
                     raise InfiniteLoopGuard("while loop exceeded its iteration budget")
                 try:
                     self._exec(statement.body, env)
@@ -382,7 +377,7 @@ class ProgramInstance:
             iterations = 0
             while statement.condition is None or self._truthy(self._eval(statement.condition, env)):
                 iterations += 1
-                if iterations > self.loop_limit:
+                if iterations > LOOP_LIMIT:
                     raise InfiniteLoopGuard("for loop exceeded its iteration budget")
                 try:
                     self._exec(statement.body, env)
@@ -422,7 +417,7 @@ class ProgramInstance:
     # actually hold byte pointers / integers) and otherwise tree-walks the
     # preserved ``original`` loop, so lowering can never change meaning — only
     # batch the policy decisions.  Guard semantics match the tree-walk loops
-    # byte for byte: the span paths consume exactly ``loop_limit + 1`` elements
+    # byte for byte: the span paths consume exactly LOOP_LIMIT + 1 elements
     # before raising the same InfiniteLoopGuard the per-byte loop would.
 
     def _byte_pointer_slot(self, name: str, env: Dict[str, VarSlot]) -> Optional[VarSlot]:
@@ -438,7 +433,7 @@ class ProgramInstance:
             return
         pointer: TypedPointer = slot.value
         try:
-            length = cstring.strlen(self.ctx.mem, pointer.pointer, limit=self.loop_limit)
+            length = cstring.strlen(self.ctx.mem, pointer.pointer, limit=LOOP_LIMIT)
         except InfiniteLoopGuard:
             raise InfiniteLoopGuard("while loop exceeded its iteration budget") from None
         slot.value = pointer.offset_by(length)
@@ -453,7 +448,7 @@ class ProgramInstance:
             return
         pointer: TypedPointer = pointer_slot.value
         try:
-            length = cstring.strlen(self.ctx.mem, pointer.pointer, limit=self.loop_limit)
+            length = cstring.strlen(self.ctx.mem, pointer.pointer, limit=LOOP_LIMIT)
         except InfiniteLoopGuard:
             raise InfiniteLoopGuard("while loop exceeded its iteration budget") from None
         pointer_slot.value = pointer.offset_by(length + 1)
@@ -469,7 +464,7 @@ class ProgramInstance:
         src: TypedPointer = src_slot.value
         try:
             copied = cstring.copy_c_string(
-                self.ctx.mem, dst.pointer, src.pointer, limit=self.loop_limit
+                self.ctx.mem, dst.pointer, src.pointer, limit=LOOP_LIMIT
             )
         except InfiniteLoopGuard:
             raise InfiniteLoopGuard("while loop exceeded its iteration budget") from None
@@ -505,9 +500,9 @@ class ProgramInstance:
         count = counter_slot.value
         pointer: TypedPointer = pointer_slot.value
         # A negative (or budget-exceeding) counter stays truthy through the
-        # whole budget: the loop writes ``loop_limit`` bytes, then the guard fires.
-        runaway = count < 0 or count > self.loop_limit
-        written = self.loop_limit if runaway else count
+        # whole budget: the loop writes LOOP_LIMIT bytes, then the guard fires.
+        runaway = count < 0 or count > LOOP_LIMIT
+        written = LOOP_LIMIT if runaway else count
         self._fill_span(pointer, fill, written)
         if runaway:
             raise InfiniteLoopGuard("while loop exceeded its iteration budget")
@@ -525,8 +520,8 @@ class ProgramInstance:
             self._exec(statement.original, env)
             return
         pointer: TypedPointer = pointer_slot.value
-        runaway = limit > self.loop_limit
-        written = self.loop_limit if runaway else max(limit, 0)
+        runaway = limit > LOOP_LIMIT
+        written = LOOP_LIMIT if runaway else max(limit, 0)
         self._fill_span(pointer, fill, written)
         if runaway:
             raise InfiniteLoopGuard("for loop exceeded its iteration budget")
@@ -929,14 +924,9 @@ class ProgramInstance:
 class Program:
     """A parsed program that can be instantiated against any build variant."""
 
-    def __init__(
-        self, unit: ast.TranslationUnit, source: str = "", loop_limit: Optional[int] = None
-    ) -> None:
+    def __init__(self, unit: ast.TranslationUnit, source: str = "") -> None:
         self.unit = unit
         self.source = source
-        #: Iteration budget per loop construct for every instance of this
-        #: program; a loop that exceeds it raises InfiniteLoopGuard.
-        self.loop_limit = LOOP_LIMIT if loop_limit is None else loop_limit
 
     def instantiate(
         self,
@@ -945,7 +935,7 @@ class Program:
     ) -> ProgramInstance:
         """Bind the program to a policy (the "choose a compiler" step)."""
         context = ctx if ctx is not None else MemoryContext(policy)
-        return ProgramInstance(self.unit, context, self.loop_limit)
+        return ProgramInstance(self.unit, context)
 
     def function_names(self) -> List[str]:
         """Names of the functions defined by the program."""

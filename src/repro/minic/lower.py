@@ -289,16 +289,13 @@ def _collect_calls(node, found, declared) -> None:
             _collect_calls(value, found, declared)
 
 
-def compile_program(source: str, lower: bool = True, includes=None, defines=None,
-                    loop_limit: Optional[int] = None):
+def compile_program(source: str, lower: bool = True, includes=None, defines=None):
     """Parse ``source``, check well-formedness, and (by default) span-lower it.
 
     ``lower=False`` keeps the frozen per-byte tree-walk — the reference path
     the differential suite compares against.  There is still no code
     generation: the policy is chosen when the returned Program is
-    *instantiated*, exactly as before.  ``loop_limit`` is the program's
-    per-loop iteration budget (default
-    :data:`~repro.minic.interpreter.LOOP_LIMIT`).
+    *instantiated*, exactly as before.
     """
     from repro.minic.interpreter import Program
 
@@ -319,4 +316,4 @@ def compile_program(source: str, lower: bool = True, includes=None, defines=None
         raise CompileError(f"call(s) to undefined function(s): {sorted(unknown)}")
     if lower:
         lower_unit(unit)
-    return Program(unit, source=source, loop_limit=loop_limit)
+    return Program(unit, source=source)

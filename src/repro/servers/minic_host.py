@@ -199,7 +199,6 @@ class MiniCServer(Server):
         instance = ProgramInstance.__new__(ProgramInstance)
         instance.unit = self.program.unit
         instance.ctx = self.ctx
-        instance.loop_limit = self.program.loop_limit
         instance.globals = {
             name: VarSlot(value=self._thaw_value(frozen), type=ctype)
             for name, (frozen, ctype) in snapshot["globals"].items()

@@ -352,13 +352,17 @@ class TestFusedBytePath:
 
     @pytest.mark.parametrize("policy_name", POLICIES)
     def test_delta_and_fast_restore_match_the_raw_byte_store(self, policy_name):
-        """Dirty marks from the fused store equal AddressSpace.write_byte's."""
+        """Dirty marks from the fused store equal a one-byte raw store's.
+
+        The reference is :meth:`AddressSpace.write` over a one-byte range,
+        which applies the dirty-block rule through :meth:`Segment.mark_dirty`.
+        """
         fused_ctx, raw_ctx = self._twins(policy_name)
         offsets = (0, 1, 4095, 4096, 9000, 12287, 12288)
         results = []
         for ctx, store in (
             (fused_ctx, lambda ctx, ptr, v: ctx.mem.write_byte(ptr, v)),
-            (raw_ctx, lambda ctx, ptr, v: ctx.space.write_byte(ptr.address, v)),
+            (raw_ctx, lambda ctx, ptr, v: ctx.space.write(ptr.address, bytes([v]))),
         ):
             buf = ctx.malloc(16384)
             ctx.checkpoint()

@@ -73,28 +73,30 @@ class TestRawAccess:
     def test_fault_records_address(self):
         space = AddressSpace()
         with pytest.raises(SegmentationFault) as excinfo:
-            space.read_byte(0x42)
+            space.read(0x42, 1)
         assert excinfo.value.address == 0x42
 
     def test_byte_helpers(self):
         space = AddressSpace()
-        space.write_byte(STACK_BASE + 5, 0xAB)
-        assert space.read_byte(STACK_BASE + 5) == 0xAB
+        space.write(STACK_BASE + 5, b"\xab")
+        assert space.read(STACK_BASE + 5, 1) == b"\xab"
 
     def test_byte_fast_path_crosses_segments(self):
         space = AddressSpace()
-        space.write_byte(HEAP_BASE, 1)
-        space.write_byte(STACK_BASE, 2)
-        assert space.read_byte(HEAP_BASE) == 1
-        assert space.read_byte(STACK_BASE) == 2
+        space.write(HEAP_BASE, b"\x01")
+        space.write(STACK_BASE, b"\x02")
+        assert space.read(HEAP_BASE, 1) == b"\x01"
+        assert space.last_segment is space.heap
+        assert space.read(STACK_BASE, 1) == b"\x02"
+        assert space.last_segment is space.stack
 
     def test_byte_fast_path_faults_on_unmapped(self):
         space = AddressSpace()
-        space.read_byte(HEAP_BASE)
+        space.read(HEAP_BASE, 1)
         with pytest.raises(SegmentationFault):
-            space.read_byte(0x50)
+            space.read(0x50, 1)
         with pytest.raises(SegmentationFault):
-            space.write_byte(0x50, 1)
+            space.write(0x50, b"\x01")
 
     def test_fill(self):
         space = AddressSpace()

@@ -24,6 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import MemoryFault
 from repro.memory.pointer import FatPointer
+from repro.minic import interpreter as minic_interpreter
 from repro.minic.interpreter import TypedPointer
 from repro.minic.lower import compile_program, lowered_count
 from repro.telemetry.sinks import CounterSink
@@ -92,17 +93,29 @@ def _observe(instance, outcome):
     }
 
 
-#: The loop budget both builds run under.  Far above every terminating loop
-#: the templates below can produce (buffers are at most 48 bytes, counts at
-#: most 96), small enough that a drawn runaway (an unterminated copy or scan
-#: under redirect or Standard) hits the guard in milliseconds instead of
-#: tree-walking the default 1,000,000 iterations.
-LOOP_LIMIT = 512
+@pytest.fixture(scope="module", autouse=True)
+def shared_loop_limit():
+    """Run both builds of every differential under one small loop budget.
+
+    512 is far above every terminating loop the templates below can produce
+    (buffers are at most 48 bytes, counts at most 96), and small enough that
+    a drawn runaway (an unterminated copy or scan under redirect or Standard)
+    hits the guard in milliseconds instead of tree-walking the default
+    1,000,000 iterations.  The tree-walk loop counter and the lowered span
+    helpers both read the module global at call time, so the guard fires
+    after identical byte counts on both builds.
+    """
+    original = minic_interpreter.LOOP_LIMIT
+    minic_interpreter.LOOP_LIMIT = 512
+    try:
+        yield
+    finally:
+        minic_interpreter.LOOP_LIMIT = original
 
 
 def _run_build(source, lower, policy_name, calls):
     """Compile one build, run the call list, and return the observation."""
-    program = compile_program(source, lower=lower, loop_limit=LOOP_LIMIT)
+    program = compile_program(source, lower=lower)
     if lower:
         assert lowered_count(program.unit) > 0, "template produced nothing to lower"
     instance = program.instantiate(POLICY_CLASSES[policy_name]())
@@ -285,9 +298,9 @@ class TestUseAfterFree:
 class TestRunawayGuard:
     """A runaway loop hits the same InfiniteLoopGuard on both builds.
 
-    Both builds share ``LOOP_LIMIT``: the tree-walk loop counter and the
-    lowered span helpers read the program's budget, so the guard must fire
-    after identical byte counts.
+    Both builds run under the module's shared ``LOOP_LIMIT`` (see
+    :func:`shared_loop_limit`), so the guard must fire after identical byte
+    counts.
     """
 
     @pytest.mark.parametrize("policy", ["failure-oblivious", "boundless"])
