@@ -63,6 +63,9 @@ class MemoryDelta:
     records and are captured whole — a delta is therefore self-contained for
     everything except segment bytes, and restoring snapshot *k* is "replay
     block deltas up to *k*, then adopt delta *k*'s components verbatim".
+    "Whole" is cheap where history accumulates: the object table's unit
+    records and the error log's runs are immutable and shared with earlier
+    snapshots, so only units born or died and runs grown since are new.
     """
 
     policy_name: str

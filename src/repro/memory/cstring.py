@@ -266,8 +266,16 @@ def strncat(mem: MemoryAccessor, dst: FatPointer, src: FatPointer, n: int) -> Fa
     return dst
 
 
-def strchr(mem: MemoryAccessor, s: FatPointer, ch: int, limit: int = SCAN_LIMIT) -> Optional[FatPointer]:
-    """Return a pointer to the first occurrence of ``ch``, or None at NUL."""
+def strchr(
+    mem: MemoryAccessor, s: FatPointer, ch: int, limit: Optional[int] = None
+) -> Optional[FatPointer]:
+    """Return a pointer to the first occurrence of ``ch``, or None at NUL.
+
+    ``limit=None`` reads :data:`SCAN_LIMIT` at call time, as :func:`strcpy`
+    does, so tests can shrink the budget of a runaway scan.
+    """
+    if limit is None:
+        limit = SCAN_LIMIT
     ptr = s
     scanned = 0
     target = ch & 0xFF

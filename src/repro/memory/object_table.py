@@ -9,8 +9,9 @@ map with O(log n) lookup.
 from __future__ import annotations
 
 import bisect
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Deque, Dict, Iterator, List, Optional, Tuple
 
 from repro.memory.data_unit import DataUnit, UnitKind, make_unit
 
@@ -23,6 +24,8 @@ class UnitRecord:
     mutable state with the live table: restoring (or cloning into another
     process image) rebuilds fresh units with identical fields — including the
     serial, which is deterministic per table (see :meth:`ObjectTable.next_serial`).
+    Records are immutable, so successive checkpoints share them: the table
+    builds one record per unit state (alive, then dead) and reuses it.
     """
 
     name: str
@@ -55,6 +58,10 @@ class ObjectTableCheckpoint:
     next_serial: int
 
 
+#: How many dead units the table remembers for use-after-free attribution.
+RETIRED_CAPACITY = 1024
+
+
 class ObjectTable:
     """Interval map from addresses to live data units.
 
@@ -66,9 +73,19 @@ class ObjectTable:
     def __init__(self) -> None:
         self._bases: List[int] = []
         self._units: List[DataUnit] = []
+        #: Parallel to ``_units``: each live unit's record, or None until a
+        #: checkpoint first needs it (records are never built on register).
+        self._records: List[Optional[UnitRecord]] = []
+        self._unrecorded_births = False
         #: Units that have been unregistered but are remembered so that
         #: use-after-free accesses can be attributed to the original unit.
-        self._retired: List[DataUnit] = []
+        self._retired: Deque[DataUnit] = deque(maxlen=RETIRED_CAPACITY)
+        #: Parallel to ``_retired`` (evicted in lockstep); the newest
+        #: ``_unrecorded_deaths`` entries are None until a checkpoint.
+        self._retired_records: Deque[Optional[UnitRecord]] = deque(
+            maxlen=RETIRED_CAPACITY
+        )
+        self._unrecorded_deaths = 0
         #: Callbacks invoked whenever a unit dies (heap free *or* stack frame
         #: pop — unregister is the single definition of unit death).  Used by
         #: policies holding per-unit side state, e.g. the boundless store.
@@ -111,6 +128,8 @@ class ObjectTable:
             )
         self._bases.insert(index, unit.base)
         self._units.insert(index, unit)
+        self._records.insert(index, None)
+        self._unrecorded_births = True
         return unit
 
     def unregister(self, unit: DataUnit) -> None:
@@ -120,10 +139,11 @@ class ObjectTable:
             if self._units[index] is unit:
                 del self._bases[index]
                 del self._units[index]
+                del self._records[index]
                 unit.alive = False
                 self._retired.append(unit)
-                if len(self._retired) > 1024:
-                    self._retired.pop(0)
+                self._retired_records.append(None)
+                self._unrecorded_deaths += 1
                 for hook in self._death_hooks:
                     hook(unit)
                 return
@@ -178,10 +198,29 @@ class ObjectTable:
     # -- checkpoint / restore -----------------------------------------------------
 
     def checkpoint(self) -> ObjectTableCheckpoint:
-        """Snapshot the live units, the retired ring, and the counters."""
+        """Snapshot the live units, the retired ring, and the counters.
+
+        Equal to recording every live and retired unit afresh, but records
+        are shared with earlier checkpoints: only units born or died since
+        the last one get a record built, so the cost does not grow with the
+        table's history.
+        """
+        if self._unrecorded_births:
+            records, units = self._records, self._units
+            for index, record in enumerate(records):
+                if record is None:
+                    records[index] = UnitRecord.of(units[index])
+            self._unrecorded_births = False
+        retired = self._retired
+        pending = min(self._unrecorded_deaths, len(retired))
+        if pending:
+            retired_records = self._retired_records
+            for index in range(len(retired) - pending, len(retired)):
+                retired_records[index] = UnitRecord.of(retired[index])
+        self._unrecorded_deaths = 0
         return ObjectTableCheckpoint(
-            live=tuple(UnitRecord.of(unit) for unit in self._units),
-            retired=tuple(UnitRecord.of(unit) for unit in self._retired),
+            live=tuple(self._records),
+            retired=tuple(self._retired_records),
             lookups=self.lookups,
             next_serial=self._serial_counter,
         )
@@ -194,11 +233,16 @@ class ObjectTable:
         checkpoint simply drop out, and death hooks do *not* fire — an image
         swap is not a program-visible unit death.  The returned mapping lets
         the allocator and call stack rewire their own references to the same
-        rebuilt objects.
+        rebuilt objects.  Each rebuilt unit keeps the record it was built
+        from, so a checkpoint right after a restore builds no records.
         """
         self._units = [record.build() for record in cp.live]
         self._bases = [unit.base for unit in self._units]
-        self._retired = [record.build() for record in cp.retired]
+        self._records = list(cp.live)
+        self._unrecorded_births = False
+        self._retired = deque([record.build() for record in cp.retired], RETIRED_CAPACITY)
+        self._retired_records = deque(cp.retired, RETIRED_CAPACITY)
+        self._unrecorded_deaths = 0
         self.lookups = cp.lookups
         self._serial_counter = cp.next_serial
         return {unit.base: unit for unit in self._units}

@@ -26,6 +26,23 @@ from repro.telemetry.events import (
 )
 
 
+#: One coalesced run of the error ring: ``(first_event, stride, start, count)``.
+Run = Tuple[MemoryErrorEvent, int, int, int]
+
+
+def _same_source(error: MemoryErrorEvent, first: MemoryErrorEvent) -> bool:
+    """True when ``error`` differs from ``first`` at most in its offset."""
+    return not (
+        error.kind is not first.kind
+        or error.access is not first.access
+        or error.unit_name != first.unit_name
+        or error.unit_size != first.unit_size
+        or error.length != first.length
+        or error.site != first.site
+        or error.request_id != first.request_id
+    )
+
+
 class Sink:
     """Interface marker: a sink consumes events via :meth:`emit`."""
 
@@ -169,16 +186,20 @@ class CoalescingRingSink(Sink):
 
     Eviction is O(1) per event: the oldest run is shrunk from its front (or
     popped once empty), preserving "drop the oldest single event" semantics.
+
+    Runs are immutable tuples: growing or shrinking one replaces the deque's
+    end element, so a :meth:`checkpoint` is a shallow copy of the deque that
+    shares every run with the live ring.
     """
 
     def __init__(self, capacity: int = 10_000) -> None:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        #: Runs are mutable lists ``[first_event, stride, start, count]``: the
+        #: Runs are tuples ``(first_event, stride, start, count)``: the
         #: retained events are ``first_event.offset + stride * i`` for ``i``
         #: in ``[start, start + count)`` (``start`` > 0 after partial eviction).
-        self._runs: Deque[list] = deque()
+        self._runs: Deque[Run] = deque()
         self._retained = 0
         self._dropped = 0
 
@@ -193,11 +214,25 @@ class CoalescingRingSink(Sink):
 
     def append(self, error: MemoryErrorEvent) -> None:
         """Record one event, extending the newest run when it continues it."""
-        if self._runs and self._extends_last(error):
-            self._runs[-1][3] += 1
+        runs = self._runs
+        if runs:
+            first, stride, start, count = runs[-1]
+            if count == 1 and start == 0:
+                # Second event fixes the run's stride (commonly 1 for
+                # per-byte floods, 0 for a loop re-touching the same byte).
+                stride = error.offset - first.offset
+                continues = True
+            else:
+                continues = error.offset == first.offset + stride * (start + count)
+            if continues and _same_source(error, first):
+                runs[-1] = (first, stride, start, count + 1)
+            else:
+                runs.append((error, 0, 0, 1))
         else:
-            self._runs.append([error, 0, 0, 1])
-        self._note_appended(1)
+            runs.append((error, 0, 0, 1))
+        self._retained += 1
+        if self._retained > self.capacity:
+            self._evict(self._retained - self.capacity)
 
     def append_run(self, error: MemoryErrorEvent, stride: int, count: int) -> None:
         """Record a whole run at once: ``count`` events stepping by ``stride``.
@@ -206,30 +241,28 @@ class CoalescingRingSink(Sink):
         directly (no per-event work), and :meth:`events` remains identical to
         appending the expanded events one at a time.  A run continuing the
         newest stored run (same fields, same effective stride, contiguous
-        offsets — consecutive chunks of one flood) extends it in place.
+        offsets — consecutive chunks of one flood) extends it.
         """
         if count <= 0:
             return
         if count == 1:
             self.append(error)
             return
-        if self._runs and self._fields_match(error):
-            last = self._runs[-1]
-            _first, last_stride, start, last_count = last[0], last[1], last[2], last[3]
-            next_offset = last[0].offset + last_stride * (start + last_count)
+        runs = self._runs
+        if runs:
+            first, last_stride, start, last_count = runs[-1]
             if last_count == 1 and start == 0:
-                # A single stored event has no stride yet; adopt the run's if
-                # the incoming offsets continue from it.
-                if error.offset == last[0].offset + stride:
-                    last[1] = stride
-                    last[3] += count
-                    self._note_appended(count)
-                    return
-            elif stride == last_stride and error.offset == next_offset:
-                last[3] += count
+                # A single stored event has no stride yet; adopt the run's
+                # if the incoming offsets continue from it.
+                continues = error.offset == first.offset + stride
+            else:
+                continues = (stride == last_stride and
+                             error.offset == first.offset + stride * (start + last_count))
+            if continues and _same_source(error, first):
+                runs[-1] = (first, stride, start, last_count + count)
                 self._note_appended(count)
                 return
-        self._runs.append([error, stride, 0, count])
+        runs.append((error, stride, 0, count))
         self._note_appended(count)
 
     def _note_appended(self, count: int) -> None:
@@ -237,42 +270,20 @@ class CoalescingRingSink(Sink):
         if self._retained > self.capacity:
             self._evict(self._retained - self.capacity)
 
-    def _fields_match(self, error: MemoryErrorEvent) -> bool:
-        first = self._runs[-1][0]
-        return not (
-            error.kind is not first.kind
-            or error.access is not first.access
-            or error.unit_name != first.unit_name
-            or error.unit_size != first.unit_size
-            or error.length != first.length
-            or error.site != first.site
-            or error.request_id != first.request_id
-        )
-
-    def _extends_last(self, error: MemoryErrorEvent) -> bool:
-        first, stride, start, count = self._runs[-1]
-        if not self._fields_match(error):
-            return False
-        if count == 1 and start == 0:
-            # Second event fixes the run's stride (commonly 1 for per-byte
-            # floods, 0 for a loop re-touching the same byte).
-            self._runs[-1][1] = error.offset - first.offset
-            return True
-        return error.offset == first.offset + stride * (start + count)
-
     def _evict(self, n: int) -> None:
         """Evict the ``n`` oldest events, shrinking whole runs at a time.
 
         O(runs touched), not O(events evicted): a flood run bigger than the
         ring is absorbed by advancing the front run's start once.
         """
+        runs = self._runs
         while n > 0:
-            run = self._runs[0]
-            take = run[3] if run[3] < n else n
-            run[2] += take
-            run[3] -= take
-            if run[3] == 0:
-                self._runs.popleft()
+            first, stride, start, count = runs[0]
+            take = count if count < n else n
+            if take == count:
+                runs.popleft()
+            else:
+                runs[0] = (first, stride, start + take, count - take)
             self._retained -= take
             self._dropped += take
             n -= take
@@ -284,13 +295,13 @@ class CoalescingRingSink(Sink):
         self._dropped = 0
 
     def checkpoint(self) -> tuple:
-        """Snapshot the retained runs (events are frozen, so runs are shared)."""
-        return (tuple(tuple(run) for run in self._runs), self._retained, self._dropped)
+        """Snapshot the retained runs (runs and events are immutable: shared)."""
+        return (tuple(self._runs), self._retained, self._dropped)
 
     def restore(self, cp: tuple) -> None:
         """Reset the ring to a snapshot taken by :meth:`checkpoint`."""
         runs, retained, dropped = cp
-        self._runs = deque(list(run) for run in runs)
+        self._runs = deque(runs)
         self._retained = retained
         self._dropped = dropped
 
@@ -310,7 +321,7 @@ class CoalescingRingSink(Sink):
         return len(self._runs)
 
     @staticmethod
-    def _expand(run: list) -> Iterable[MemoryErrorEvent]:
+    def _expand(run: Run) -> Iterable[MemoryErrorEvent]:
         first, stride, start, count = run
         for i in range(start, start + count):
             if i == 0:
@@ -334,7 +345,7 @@ class CoalescingRingSink(Sink):
         """
         if n <= 0:
             return []
-        picked: List[list] = []
+        picked: List[Run] = []
         remaining = n
         for run in reversed(self._runs):
             first, stride, start, count = run
@@ -342,7 +353,7 @@ class CoalescingRingSink(Sink):
                 picked.append(run)
                 remaining -= count
             else:
-                picked.append([first, stride, start + count - remaining, remaining])
+                picked.append((first, stride, start + count - remaining, remaining))
                 remaining = 0
             if remaining == 0:
                 break

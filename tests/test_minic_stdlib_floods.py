@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import BoundsCheckViolation, ErrorKind, MemoryFault
+from repro.errors import BoundsCheckViolation, ErrorKind, InfiniteLoopGuard, MemoryFault
+from repro.memory import cstring
 from repro.minic import compile_program
 from tests.conftest import POLICY_CLASSES
 
@@ -102,12 +103,25 @@ class TestStrchrFlood:
         assert log.count_reads() > 0
         assert log.count_by_kind().get(ErrorKind.OUT_OF_BOUNDS, 0) > 0
 
-    def test_redirect_wraps_into_an_unterminated_orbit(self):
+    @pytest.fixture
+    def small_scan_budget(self):
+        """Shrink ``cstring.SCAN_LIMIT`` for one test, then restore it.
+
+        The orbit below only ends when ``strchr`` exhausts its scan budget,
+        which by default is a million per-byte redirected reads.  4096 bytes
+        still orbit the 16-byte unit hundreds of times.
+        """
+        original = cstring.SCAN_LIMIT
+        cstring.SCAN_LIMIT = 4096
+        try:
+            yield
+        finally:
+            cstring.SCAN_LIMIT = original
+
+    def test_redirect_wraps_into_an_unterminated_orbit(self, small_scan_budget):
         # The redirect policy maps every out-of-bounds read back inside the
         # unit, so searching 16 'A's for an absent byte never sees a
         # terminator: the scan guard converts the orbit into a hang fault.
-        from repro.errors import InfiniteLoopGuard
-
         with pytest.raises(InfiniteLoopGuard):
             run_flood(STRCHR_FLOOD, "redirect", "flood", ord("Z"))
 

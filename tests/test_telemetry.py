@@ -1,5 +1,6 @@
 """Tests for the unified telemetry spine: bus, sinks, and layer wiring."""
 
+import copy
 from collections import Counter
 
 import pytest
@@ -200,6 +201,72 @@ class TestCoalescingRingSink:
         assert ring.dropped == naive.dropped
         for n in tails + [len(events), len(events) + 5]:
             assert ring.tail(n) == (events[-n:] if n > 0 else [])
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        capacity=st.integers(1, 40),
+        steps=st.lists(
+            st.one_of(
+                st.tuples(
+                    st.just("ingest"),
+                    st.sampled_from(["a", "b"]),     # site: starts new runs
+                    st.integers(-5, 30),             # first offset
+                    st.integers(1, 25),              # run count (1 = single append)
+                    st.integers(-2, 3),              # stride for run appends
+                ),
+                st.tuples(st.just("checkpoint")),
+                st.tuples(st.just("restore"), st.integers(0, 15)),
+            ),
+            max_size=40,
+        ),
+        tails=st.lists(st.integers(0, 60), max_size=4),
+    )
+    def test_checkpoints_are_invisible_and_immutable(self, capacity, steps, tails):
+        """Checkpoint/restore interleaved with appends, runs and eviction.
+
+        The ring answers every query like a ring that never checkpointed and
+        ingested only the history still in effect, and no checkpoint changes
+        when the live ring is mutated after it was taken.
+        """
+        def ingest(ring, site, offset, count, stride):
+            first = make_error(site=site, offset=offset)
+            if count == 1:
+                ring.append(first)
+            else:
+                ring.append_run(first, stride=stride, count=count)
+
+        ring = CoalescingRingSink(capacity=capacity)
+        history = []
+        saved = []
+        for step in steps:
+            if step[0] == "ingest":
+                ingest(ring, *step[1:])
+                history.append(step[1:])
+            elif step[0] == "checkpoint":
+                cp = ring.checkpoint()
+                saved.append((cp, copy.deepcopy(cp), list(history), ring.events()))
+            elif saved:
+                cp, _copy, history_then, _events = saved[step[1] % len(saved)]
+                ring.restore(cp)
+                history = list(history_then)
+        fresh = CoalescingRingSink(capacity=capacity)
+        naive = NaiveRing(capacity=capacity)
+        for site, offset, count, stride in history:
+            ingest(fresh, site, offset, count, stride)
+            for i in range(count):
+                naive.append(make_error(site=site, offset=offset + stride * i))
+        events = ring.events()
+        assert events == fresh.events() == naive.items
+        assert len(ring) == len(events) <= capacity
+        assert ring.dropped == fresh.dropped == naive.dropped
+        assert ring.run_count == fresh.run_count
+        for n in tails + [len(events), len(events) + 5]:
+            assert ring.tail(n) == (events[-n:] if n > 0 else [])
+        for cp, taken, _history, events_then in saved:
+            assert cp == taken
+            probe = CoalescingRingSink(capacity=capacity)
+            probe.restore(cp)
+            assert probe.events() == events_then
 
 
 class TestErrorLogFacade:
