@@ -4,7 +4,7 @@ import pytest
 
 from benchmarks.conftest import bench_workers, record_table
 from repro.harness.experiments import run_experiment
-from repro.harness.runner import run_attack_scenario
+from repro.harness.engine import ENGINE, ScenarioSpec
 from repro.servers import SERVER_CLASSES
 
 
@@ -12,7 +12,8 @@ from repro.servers import SERVER_CLASSES
 def test_attack_scenario_cost_failure_oblivious(benchmark, server_name):
     """Time the full attack scenario (boot, attack, follow-ups) under the FO build."""
     result = benchmark.pedantic(
-        lambda: run_attack_scenario(server_name, "failure-oblivious", scale=0.2),
+        lambda: ENGINE.run(ScenarioSpec(server=server_name, policy="failure-oblivious",
+                                        workload="attack", scale=0.2)),
         rounds=3,
         iterations=1,
     )

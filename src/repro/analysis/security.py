@@ -54,8 +54,9 @@ def assess_security(
     """Classify each (server, build) cell of the security matrix.
 
     Either pass pre-computed ``cells`` (from
-    :func:`repro.harness.runner.run_security_matrix`) or let this function run
-    the matrix itself.
+    :meth:`ENGINE.run_security_matrix
+    <repro.harness.engine.ExperimentEngine.run_security_matrix>`) or let this
+    function run the matrix itself.
     """
     if cells is None:
         cells = ENGINE.run_security_matrix(servers=servers, policies=policies, scale=scale)

@@ -45,11 +45,9 @@ extends to rollbacks, quarantines, and injected faults.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import shutil
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -60,7 +58,8 @@ from repro.fleet.traffic import (
     derive_seed,
     make_arrival,
 )
-from repro.harness.stability import WorkloadTallySink
+from repro.harness.pool import fork_map, split_contiguous
+from repro.harness.stability import RestartMonitor, WorkloadTallySink, run_session_setup
 from repro.memory.shared_image import SharedImageStore
 from repro.recovery.faults import FAULT_KINDS, FaultInjector
 from repro.recovery.supervisor import RecoveryPolicy, RecoverySupervisor
@@ -85,10 +84,6 @@ DROPPED_OUTCOME = "dropped"
 #: (``max_seconds``) expired.  A distinct outcome so an export alone answers
 #: "did this run hit its deadline, and how much of the tail was cut?".
 DEADLINE_OUTCOME = "dropped-deadline"
-
-#: State inherited by forked shard workers (set immediately before the pool
-#: is created, cleared after; never pickled).
-_POOL_FLEET: Optional["_FleetRun"] = None
 
 #: The most recent run's shared-image store (test hook: lets the leak test
 #: assert that the run's /dev/shm segments were actually released).
@@ -447,9 +442,13 @@ class FleetResult:
 
 @dataclass
 class _FleetGroup:
-    """One booted template: its image plus whether the boot was fatal."""
+    """One booted template: its image plus whether the boot was fatal.
 
-    image: object
+    ``image`` is None for a server class with ``checkpoint_restarts`` False:
+    it has no image to clone from, so each instance boots itself.
+    """
+
+    image: Optional[ProcessImage]
     boot_fatal: bool
 
 
@@ -485,7 +484,11 @@ class _FleetRun:
             plant_attack=True, scale=self.scale,
         )
         server.limit_history(self.history_limit)
-        server.adopt_image(self.groups[instance.group_key].image)
+        image = self.groups[instance.group_key].image
+        if image is not None:
+            server.adopt_image(image)
+        elif not server.start().fatal:
+            run_session_setup(server, instance.server)
         return server
 
 
@@ -499,28 +502,6 @@ class _FleetShardOutcome:
     spill_path: Optional[str]
     deadline_hit: bool
     wall_seconds: float
-
-
-def split_instances(instances: Sequence[FleetInstance], shards: int) -> List[List[FleetInstance]]:
-    """Partition instances into ``shards`` contiguous, near-equal groups.
-
-    The shard is the scheduler's unit of parallelism *and* of determinism:
-    boundaries depend only on ``shards``, never on ``workers``, and because
-    instances are independent processes the partition cannot change any
-    per-instance tally.
-    """
-    if shards <= 0:
-        raise ValueError("shards must be positive")
-    instances = list(instances)
-    shards = min(shards, max(len(instances), 1))
-    base, extra = divmod(len(instances), shards)
-    groups: List[List[FleetInstance]] = []
-    position = 0
-    for index in range(shards):
-        size = base + (1 if index < extra else 0)
-        groups.append(instances[position:position + size])
-        position += size
-    return groups
 
 
 # ---------------------------------------------------------------------------
@@ -571,18 +552,12 @@ def _run_fleet_shard(run: "_FleetRun", index: int) -> _FleetShardOutcome:
     restarts: Dict[int, int] = {}
     for instance in instances:
         server = run.build_clone(instance)
-        boot_deaths[instance.index] = 0
-        restarts[instance.index] = 0
-        if not server.alive:
-            # Fatal boot image (Pine/Mutt style persistent triggers): mirror
-            # the soak accounting — the failed boot is a death, the monitor
-            # retries once up front, and the request loop retries per request.
-            boot_deaths[instance.index] += 1
-            if run.restart_on_death:
-                server.restart()
-                restarts[instance.index] += 1
-                if not server.alive:
-                    boot_deaths[instance.index] += 1
+        # Fatal boot image (Pine/Mutt style persistent triggers): the same
+        # boot rule as the soak; the request loop retries per request.
+        monitor = RestartMonitor(server, run.restart_on_death)
+        monitor.retry_fatal_boot()
+        boot_deaths[instance.index] = monitor.deaths
+        restarts[instance.index] = monitor.restarts
         sinks[instance.index] = server.add_telemetry_sink(FleetTallySink())
         server.add_telemetry_sink(stats.view(instance.server, instance.policy))
         if sqlite_sink is not None:
@@ -672,24 +647,27 @@ def _run_fleet_shard(run: "_FleetRun", index: int) -> _FleetShardOutcome:
                 dispatch(server, timeline[offset])
         position = end
 
+    # Per-instance request and attack counts in one pass over the timeline.
+    request_counts = dict.fromkeys(servers, 0)
+    attack_counts = dict.fromkeys(servers, 0)
+    for fleet_request in timeline:
+        request_counts[fleet_request.instance] += 1
+        if fleet_request.request.is_attack:
+            attack_counts[fleet_request.instance] += 1
+
     tallies: List[InstanceTally] = []
     for instance in instances:
         server = servers[instance.index]
         server.stop()
         sink = sinks[instance.index]
-        instance_requests = [
-            fr for fr in timeline if fr.instance == instance.index
-        ]
         supervisor = supervisors.get(instance.index)
         tallies.append(
             InstanceTally(
                 index=instance.index,
                 server=instance.server,
                 policy=instance.policy,
-                requests=len(instance_requests),
-                attack_requests=sum(
-                    1 for fr in instance_requests if fr.request.is_attack
-                ),
+                requests=request_counts[instance.index],
+                attack_requests=attack_counts[instance.index],
                 legitimate_served=sink.legitimate_served,
                 legitimate_failed=sink.legitimate_failed + sink.legitimate_dropped,
                 dropped=sink.legitimate_dropped + sink.attacks_dropped,
@@ -719,11 +697,6 @@ def _run_fleet_shard(run: "_FleetRun", index: int) -> _FleetShardOutcome:
         deadline_hit=deadline_hit,
         wall_seconds=time.perf_counter() - started,
     )
-
-
-def _pool_run_fleet_shard(index: int) -> _FleetShardOutcome:
-    """Entry point inside a forked worker (the plan travels via the fork)."""
-    return _run_fleet_shard(_POOL_FLEET, index)
 
 
 # ---------------------------------------------------------------------------
@@ -775,7 +748,6 @@ def run_fleet(
     and — because a fleet is the 10^6-request path — an unbounded history is
     refused unless ``allow_unbounded_history=True`` is passed explicitly.
     """
-    global _POOL_FLEET
     if recovery is None and (fault_rate > 0.0 or fault_every is not None):
         recovery = RecoveryPolicy()
     history_limit = bounded_history_limit(
@@ -798,7 +770,7 @@ def run_fleet(
     timeline = model.timeline()
 
     shard_count = len(instances) if shards is None else shards
-    shard_groups = split_instances(instances, shard_count)
+    shard_groups = split_contiguous(instances, shard_count)
     shard_of = {
         instance.index: shard_index
         for shard_index, group in enumerate(shard_groups)
@@ -827,19 +799,17 @@ def run_fleet(
         template.limit_history(history_limit)
         fatal = template.start().fatal
         image = template.boot_image
-        if not fatal:
-            # Session setup (the stability experiments' follow-up requests,
-            # e.g. Mutt re-opening the INBOX after the planted startup folder
-            # was rejected), then re-checkpoint: every clone AND every
-            # monitor restart restores the serving state, paid once per group.
-            for setup_request in ENGINE.profile(instance.server).make_follow_ups():
-                template.process(setup_request)
-            image = template.recheckpoint()
-        # One shared copy of the template bytes per group: clones (serial or
-        # across the fork) restore straight out of the shared block.
-        groups[key] = _FleetGroup(
-            image=_share_process_image(store, image), boot_fatal=fatal
-        )
+        if image is not None:
+            if not fatal:
+                # Session setup, then re-checkpoint: every clone AND every
+                # monitor restart restores the serving state, paid once per
+                # group.
+                run_session_setup(template, instance.server)
+                image = template.recheckpoint()
+            # One shared copy of the template bytes per group: clones (serial
+            # or across the fork) restore straight out of the shared block.
+            image = _share_process_image(store, image)
+        groups[key] = _FleetGroup(image=image, boot_fatal=fatal)
         boot_fatal[instance.label] = fatal
         template.stop()
 
@@ -866,29 +836,8 @@ def run_fleet(
         fault_kinds=tuple(fault_kinds),
     )
 
-    count = 0 if workers is None else int(workers)
-    outcomes: List[_FleetShardOutcome] = []
     try:
-        if count > 1 and len(shard_groups) > 1:
-            try:
-                context = multiprocessing.get_context("fork")
-            except ValueError:
-                context = None
-            if context is not None:
-                _POOL_FLEET = run
-                try:
-                    with ProcessPoolExecutor(
-                        max_workers=min(count, len(shard_groups)), mp_context=context
-                    ) as pool:
-                        outcomes = list(
-                            pool.map(_pool_run_fleet_shard, range(len(shard_groups)))
-                        )
-                finally:
-                    _POOL_FLEET = None
-        if not outcomes:
-            outcomes = [
-                _run_fleet_shard(run, index) for index in range(len(shard_groups))
-            ]
+        outcomes = fork_map(_run_fleet_shard, run, range(len(shard_groups)), workers)
     finally:
         # Release the shared template images whether the run finished or a
         # worker died mid-run: the parent created the /dev/shm segments, so
@@ -916,7 +865,7 @@ def run_fleet(
     return FleetResult(
         instances=tallies,
         shard_count=len(shard_groups),
-        workers=count,
+        workers=0 if workers is None else int(workers),
         seed=seed,
         boot_fatal=boot_fatal,
         wall_seconds=time.perf_counter() - started,
@@ -936,5 +885,4 @@ __all__ = [
     "InstanceTally",
     "expand_instances",
     "run_fleet",
-    "split_instances",
 ]

@@ -26,19 +26,18 @@ every workload shape against any profile:
 New servers participate in every shape by registering a profile (zero engine
 edits); new workload shapes plug in with
 :meth:`ExperimentEngine.register_workload`.  The module-level :data:`ENGINE`
-is the default engine used by the shims in :mod:`repro.harness.runner` and by
-the experiment registry.
+is the default engine used by the experiment registry, the CLI, and every
+other harness entry point.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.policies import POLICY_NAMES
 from repro.errors import RequestOutcome, RequestResult
+from repro.harness.pool import fork_map
 from repro.harness.timing import TimingResult, measure_paired, slowdown, wall_clock
 from repro.servers.base import Server
 from repro.servers.profile import PROFILES, ServerProfile, get_profile
@@ -55,30 +54,17 @@ __all__ = [
 ]
 
 
-# The engine running specs inside pool workers.  Workers are forked, so setting
-# this immediately before creating the pool makes the *submitting* engine —
-# including any profiles and workload shapes registered on it at runtime —
-# visible in every worker without pickling the engine itself.
-_POOL_ENGINE: Optional["ExperimentEngine"] = None
-
-
-def _pool_run_spec(indexed_spec: "Tuple[int, ScenarioSpec]") -> Tuple[object, float]:
-    """Run one spec in a pool worker, returning (result, wall-clock seconds).
+def _run_timed(
+    engine: "ExperimentEngine", indexed_spec: "Tuple[int, ScenarioSpec]"
+) -> Tuple[object, float]:
+    """Run one spec, returning (result, wall-clock seconds).
 
     The spec index rides along as the scenario id so that telemetry exported
     from different workers merges back in spec order.
     """
-    engine = _POOL_ENGINE if _POOL_ENGINE is not None else ENGINE
     index, spec = indexed_spec
-    return _pool_run_spec_serial(engine, spec, scenario_id=index)
-
-
-def _pool_run_spec_serial(
-    engine: "ExperimentEngine", spec: "ScenarioSpec", scenario_id: Optional[int] = None
-) -> Tuple[object, float]:
-    """Run one spec in-process, returning (result, wall-clock seconds)."""
     started = wall_clock()
-    result = engine.run(spec, scenario_id=scenario_id)
+    result = engine.run(spec, scenario_id=index)
     return result, wall_clock() - started
 
 
@@ -94,9 +80,9 @@ class ScenarioSpec:
     Only ``server`` is mandatory.  The defaults are those of the performance
     figures (full-size workload, twenty repetitions, Standard vs Failure
     Oblivious); the attack-shaped experiments conventionally pass
-    ``scale=0.25`` as the shims in :mod:`repro.harness.runner` do.  ``params``
-    carries workload-specific knobs (e.g. ``total_requests`` for the
-    stability shape) so new workload shapes do not require new spec fields.
+    ``scale=0.25``.  ``params`` carries workload-specific knobs (e.g.
+    ``total_requests`` for the stability shape) so new workload shapes do not
+    require new spec fields.
     """
 
     #: Registered profile name (e.g. ``"pine"``).
@@ -354,29 +340,10 @@ class ExperimentEngine:
             results, where ``seconds`` is the per-spec wall clock measured
             inside the worker.
         """
-        global _POOL_ENGINE
-        specs = list(specs)
-        count = 0 if workers is None else int(workers)
-        pairs: List[Tuple[object, float]] = []
-        if count > 1 and len(specs) > 1:
-            try:
-                context = multiprocessing.get_context("fork")
-            except ValueError:
-                context = None
-            if context is not None:
-                _POOL_ENGINE = self
-                try:
-                    with ProcessPoolExecutor(
-                        max_workers=min(count, len(specs)), mp_context=context
-                    ) as pool:
-                        pairs = list(pool.map(_pool_run_spec, enumerate(specs)))
-                finally:
-                    _POOL_ENGINE = None
-        if not pairs:
-            pairs = [
-                _pool_run_spec_serial(self, spec, scenario_id=index)
-                for index, spec in enumerate(specs)
-            ]
+        # The engine itself travels to the workers through the fork, so
+        # profiles and workload shapes registered on it at runtime are
+        # visible there without pickling it.
+        pairs = fork_map(_run_timed, self, enumerate(specs), workers)
         if timed:
             return pairs
         return [result for result, _seconds in pairs]

@@ -10,10 +10,11 @@ every death.  This module removes both bounds:
   image the in-scenario restarts restore, so a death costs a memory restore,
   not a reboot);
 * the stream is split into ``shards`` deterministic contiguous chunks, fanned
-  over the same forked process pool ``ExperimentEngine.run_many`` uses, and
-  merged back in stream order.  Shard boundaries depend only on ``shards``,
-  never on ``workers``, so the tallies are identical however many workers run
-  them — the parallel soak is bit-for-bit the serial soak, faster.
+  over the shared fork pool (:func:`~repro.harness.pool.fork_map`, which
+  ``ExperimentEngine.run_many`` uses too), and merged back in stream order.
+  Shard boundaries depend only on ``shards``, never on ``workers``, so the
+  tallies are identical however many workers run them — the parallel soak is
+  bit-for-bit the serial soak, faster.
 
 Each shard starts from the boot image (every worker's server is a clone of
 the same template), which is what makes the fan-out semantically clean: a
@@ -31,20 +32,15 @@ checkpoint-image machinery.
 
 from __future__ import annotations
 
-import multiprocessing
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.harness.stability import WorkloadTallySink
+from repro.harness.pool import fork_map, split_contiguous
+from repro.harness.stability import RestartMonitor, WorkloadTallySink
 from repro.servers.base import Request, Server, bounded_history_limit
 from repro.telemetry.session import current_session
 from repro.workloads.streams import RequestStream, mixed_stream
-
-#: State inherited by forked shard workers (set immediately before the pool
-#: is created, cleared after; never pickled).
-_POOL_SOAK: Optional["_SoakRun"] = None
 
 
 @dataclass
@@ -169,7 +165,7 @@ class _SoakRun:
         return server
 
 
-def _run_shard(run: "_SoakRun", index: int, requests: Sequence[Request]) -> SoakShard:
+def _run_shard(run: "_SoakRun", indexed: Tuple[int, List[Request]]) -> SoakShard:
     """Process one chunk against a fresh clone of the boot image.
 
     When a telemetry session is active the shard's events are stamped with
@@ -178,6 +174,7 @@ def _run_shard(run: "_SoakRun", index: int, requests: Sequence[Request]) -> Soak
     stamp is restored afterwards, so an engine-managed outer scenario keeps
     stamping the events that follow the soak.
     """
+    index, requests = indexed
     session = current_session()
     if session is not None:
         with session.scenario_scope(index):
@@ -187,82 +184,28 @@ def _run_shard(run: "_SoakRun", index: int, requests: Sequence[Request]) -> Soak
 
 def _run_shard_body(run: "_SoakRun", index: int, requests: Sequence[Request]) -> SoakShard:
     started = time.perf_counter()
-    shard = SoakShard(
+    server = run.build_clone()
+    # A fatal boot image (Pine/Mutt style persistent triggers) gets the same
+    # monitor as run_stability_experiment.  Without checkpoints the clone's
+    # restarts are real reboots (build_clone clears checkpoint_restarts).
+    monitor = RestartMonitor(server, run.restart_on_death)
+    monitor.retry_fatal_boot()
+    tally = server.add_telemetry_sink(WorkloadTallySink())
+    monitor.serve(requests)
+    server.stop()
+    return SoakShard(
         index=index,
         requests=len(requests),
         attack_requests=sum(1 for request in requests if request.is_attack),
+        legitimate_served=tally.legitimate_served,
+        legitimate_failed=tally.legitimate_failed + monitor.unserved_while_down,
+        attacks_survived=tally.attacks_survived,
+        server_deaths=monitor.deaths + tally.server_deaths,
+        restarts=monitor.restarts,
+        memory_errors_logged=tally.memory_errors,
+        error_sites=dict(tally.error_sites),
+        wall_seconds=time.perf_counter() - started,
     )
-    server = run.build_clone()
-
-    def monitor_restart() -> None:
-        # The pre-checkpoint baseline must pay the real reboot on every
-        # death, not the image restore a plain restart() would take.
-        if run.use_checkpoints:
-            server.restart()
-        else:
-            server.restart_from_scratch()
-
-    if not server.alive:
-        # The boot image is fatal (Pine/Mutt style persistent triggers).
-        # Mirror run_stability_experiment's accounting exactly: the failed
-        # boot is a death, the monitor retries once before the stream starts
-        # (a failed retry is another death), and the request loop below
-        # keeps retrying before each request.
-        shard.server_deaths += 1
-        if run.restart_on_death:
-            monitor_restart()
-            shard.restarts += 1
-            if not server.alive:
-                shard.server_deaths += 1
-    tally = server.add_telemetry_sink(WorkloadTallySink())
-    unserved_while_down = 0
-    for request in requests:
-        if not server.alive:
-            if run.restart_on_death:
-                monitor_restart()
-                shard.restarts += 1
-                if not server.alive:
-                    shard.server_deaths += 1
-            if not server.alive:
-                if not request.is_attack:
-                    unserved_while_down += 1
-                continue
-        server.process(request)
-    server.stop()
-    shard.legitimate_served = tally.legitimate_served
-    shard.legitimate_failed = tally.legitimate_failed + unserved_while_down
-    shard.attacks_survived = tally.attacks_survived
-    shard.server_deaths += tally.server_deaths
-    shard.memory_errors_logged = tally.memory_errors
-    shard.error_sites = dict(tally.error_sites)
-    shard.wall_seconds = time.perf_counter() - started
-    return shard
-
-
-def _pool_run_shard(indexed: Tuple[int, List[Request]]) -> SoakShard:
-    """Entry point inside a forked worker (the stamping lives in _run_shard)."""
-    index, requests = indexed
-    return _run_shard(_POOL_SOAK, index, requests)
-
-
-def split_stream(requests: Sequence[Request], shards: int) -> List[List[Request]]:
-    """Split a stream into ``shards`` contiguous, near-equal chunks.
-
-    Deterministic in ``shards`` alone: chunk boundaries never depend on the
-    worker count, which is what keeps parallel tallies identical to serial.
-    """
-    if shards <= 0:
-        raise ValueError("shards must be positive")
-    requests = list(requests)
-    shards = min(shards, max(len(requests), 1))
-    base, extra = divmod(len(requests), shards)
-    chunks: List[List[Request]] = []
-    position = 0
-    for index in range(shards):
-        size = base + (1 if index < extra else 0)
-        chunks.append(requests[position:position + size])
-        position += size
-    return chunks
 
 
 def run_soak_experiment(
@@ -293,7 +236,6 @@ def run_soak_experiment(
     unless ``allow_unbounded_history=True`` opts in explicitly (see
     :func:`~repro.servers.base.bounded_history_limit`).
     """
-    global _POOL_SOAK
     history_limit = bounded_history_limit(
         history_limit, allow_unbounded=allow_unbounded_history,
         harness="run_soak_experiment",
@@ -303,7 +245,7 @@ def run_soak_experiment(
         attack_every=attack_every, seed=seed,
     )
     requests = list(workload)
-    chunks = split_stream(requests, shards)
+    chunks = split_contiguous(requests, shards)
 
     started = time.perf_counter()
     run = _SoakRun(
@@ -324,30 +266,13 @@ def run_soak_experiment(
         run.image = template.boot_image
     template.stop()
 
-    count = 0 if workers is None else int(workers)
-    results: List[SoakShard] = []
-    if count > 1 and len(chunks) > 1:
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:
-            context = None
-        if context is not None:
-            _POOL_SOAK = run
-            try:
-                with ProcessPoolExecutor(
-                    max_workers=min(count, len(chunks)), mp_context=context
-                ) as pool:
-                    results = list(pool.map(_pool_run_shard, enumerate(chunks)))
-            finally:
-                _POOL_SOAK = None
-    if not results:
-        results = [_run_shard(run, index, chunk) for index, chunk in enumerate(chunks)]
+    results = fork_map(_run_shard, run, enumerate(chunks), workers)
 
     return SoakResult(
         server=server_name,
         policy=policy_name,
         shard_count=len(chunks),
-        workers=count,
+        workers=0 if workers is None else int(workers),
         use_checkpoints=use_checkpoints,
         total_requests=len(requests),
         attack_requests=workload.attack_count,

@@ -17,11 +17,11 @@ restarted, and what the error log recorded.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Iterable, Optional
 
 from repro.errors import FATAL_OUTCOMES, RequestOutcome
 from repro.harness.engine import ENGINE
-from repro.servers.base import Server
+from repro.servers.base import Request, Server
 from repro.telemetry.events import RequestEnd
 from repro.telemetry.sinks import Sink
 from repro.workloads.streams import RequestStream, mixed_stream
@@ -96,6 +96,67 @@ class StabilityResult:
         return self.server_deaths == 0 and self.legitimate_failed == 0
 
 
+def run_session_setup(server: Server, server_name: str) -> None:
+    """Bring a booted server's user interface back to a normal working state.
+
+    For example, Mutt re-opens the INBOX after the planted startup folder was
+    rejected.  Harnesses run it before attaching any tally sink, so its
+    requests are not counted in the workload statistics.
+    """
+    for setup_request in ENGINE.profile(server_name).make_follow_ups():
+        server.process(setup_request)
+
+
+class RestartMonitor:
+    """The restart-on-death monitor every harness models, and its counts.
+
+    It counts what no request event can carry: deaths at boot and on failed
+    restarts, the restarts themselves, and legitimate requests that arrived
+    while the server was down.  ``restart_on_death`` False models a server
+    nobody restarts.
+    """
+
+    def __init__(self, server: Server, restart_on_death: bool) -> None:
+        self.server = server
+        self.restart_on_death = restart_on_death
+        self.deaths = 0
+        self.restarts = 0
+        self.unserved_while_down = 0
+
+    def _restart(self) -> None:
+        """Restart the server; a restart that dies during boot is a death."""
+        self.server.restart()
+        self.restarts += 1
+        if not self.server.alive:
+            self.deaths += 1
+
+    def retry_fatal_boot(self) -> None:
+        """Apply the boot rule to a freshly booted (or cloned) server.
+
+        A fatal boot is one death, then one retry.  For Pine and Mutt the
+        retry hits the same startup error (the trigger persists in the
+        mailbox/configuration), which is exactly the paper's point about
+        restart-based recovery.
+        """
+        if not self.server.alive:
+            self.deaths += 1
+            if self.restart_on_death:
+                self._restart()
+
+    def serve(self, requests: Iterable[Request]) -> None:
+        """Drive ``requests``, restarting a dead server before each one."""
+        server = self.server
+        for request in requests:
+            if not server.alive:
+                if self.restart_on_death:
+                    self._restart()
+                if not server.alive:
+                    if not request.is_attack:
+                        self.unserved_while_down += 1
+                    continue
+            server.process(request)
+
+
 def run_stability_experiment(
     server_name: str,
     policy_name: str,
@@ -120,46 +181,17 @@ def run_stability_experiment(
     server: Server = ENGINE.build_server(
         server_name, policy_name, config=config, plant_attack=True, scale=scale
     )
-    boot = server.start()
-    server_deaths = 1 if boot.fatal else 0
-    restarts = 0
-    if boot.fatal and restart_on_death:
-        # A restart with the same environment hits the same startup error for
-        # Pine/Mutt (the trigger persists in the mailbox/configuration), which
-        # is exactly the paper's point about restart-based recovery; we retry
-        # once to model the monitor and then give up.
-        server.restart()
-        restarts += 1
-        if not server.alive:
-            server_deaths += 1
+    server.start()
+    monitor = RestartMonitor(server, restart_on_death)
+    monitor.retry_fatal_boot()
 
-    # Session setup: bring the user interface back to a normal working state
-    # (e.g. Mutt re-opens the INBOX after the startup folder was rejected).
-    # These requests are not counted in the workload statistics.
     if server.alive:
-        for setup_request in ENGINE.profile(server_name).make_follow_ups():
-            server.process(setup_request)
+        run_session_setup(server, server_name)
 
     # Every workload statistic below is aggregated from the server's event
-    # stream; the loop only drives requests and models the restart monitor.
+    # stream; the monitor only drives requests and restarts.
     tally = server.add_telemetry_sink(WorkloadTallySink())
-    unserved_while_down = 0
-
-    for request in workload:
-        if not server.alive:
-            if restart_on_death:
-                server.restart()
-                restarts += 1
-                if not server.alive:
-                    # A restart that dies during boot is a server death, the
-                    # same as a failed boot-time restart above; previously
-                    # only the boot path counted it.
-                    server_deaths += 1
-            if not server.alive:
-                if not request.is_attack:
-                    unserved_while_down += 1
-                continue
-        server.process(request)
+    monitor.serve(workload)
 
     return StabilityResult(
         server=server_name,
@@ -168,10 +200,10 @@ def run_stability_experiment(
         attack_requests=workload.attack_count,
         legitimate_requests=workload.legitimate_count,
         legitimate_served=tally.legitimate_served,
-        legitimate_failed=tally.legitimate_failed + unserved_while_down,
+        legitimate_failed=tally.legitimate_failed + monitor.unserved_while_down,
         attacks_survived=tally.attacks_survived,
-        server_deaths=server_deaths + tally.server_deaths,
-        restarts=restarts,
+        server_deaths=monitor.deaths + tally.server_deaths,
+        restarts=monitor.restarts,
         memory_errors_logged=tally.memory_errors,
         error_sites=tally.error_sites,
     )

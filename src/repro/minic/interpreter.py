@@ -244,17 +244,6 @@ class ProgramInstance:
             return NULL_POINTER
         return value
 
-    def handle_state(self) -> tuple:
-        """Snapshot of the handle registry (for server checkpoint/restore)."""
-        return dict(self._handles), dict(self._handle_ids), self._next_handle
-
-    def restore_handle_state(self, state: tuple) -> None:
-        """Restore a snapshot taken by :meth:`handle_state`."""
-        handles, handle_ids, next_handle = state
-        self._handles = dict(handles)
-        self._handle_ids = dict(handle_ids)
-        self._next_handle = next_handle
-
     # -- setup ----------------------------------------------------------------------
 
     def _initialize_globals(self) -> None:

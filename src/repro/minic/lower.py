@@ -26,8 +26,8 @@ Deliberately **not** lowered: ``while (*src) *dst++ = *src++;`` reads the
 source byte twice per iteration (condition and body), producing a
 read/read/write event stream per byte that span batching cannot reproduce.
 
-This module also owns the compile entry point (``compile_program``), keeping
-``repro.minic.compiler`` as a thin compatibility alias.
+This module also owns the compile entry point (``compile_program``) and its
+``CompileError``.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ import pytest
 from repro.analysis.availability import compare_availability
 from repro.analysis.propagation import measure_propagation
 from repro.analysis.security import assess_security, summarize_by_policy
-from repro.harness.runner import run_security_matrix
+from repro.harness.engine import ENGINE
 from repro.workloads.streams import mixed_stream
 
 
@@ -73,7 +73,7 @@ class TestAvailability:
 class TestSecurityAssessment:
     @pytest.fixture(scope="class")
     def assessments(self):
-        cells = run_security_matrix(scale=0.1)
+        cells = ENGINE.run_security_matrix(scale=0.1)
         return assess_security(cells=cells)
 
     def test_failure_oblivious_is_always_invulnerable(self, assessments):

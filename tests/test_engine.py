@@ -197,15 +197,6 @@ class TestToySixthServer:
         assert result.flawless
         assert result.attacks_survived == result.attack_requests
 
-    def test_old_entry_points_see_the_plugin_too(self, toy_profile):
-        # The deprecation shims route through the same registry.
-        from repro.harness.runner import build_server, run_attack_scenario
-
-        server = build_server(toy_profile.name, "failure-oblivious")
-        assert not server.start().fatal
-        scenario = run_attack_scenario(toy_profile.name, "failure-oblivious")
-        assert scenario.continued_service
-
 
 class TestServerStop:
     def test_stop_refuses_further_requests_but_keeps_introspection(self):

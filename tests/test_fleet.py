@@ -19,13 +19,13 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.cli import parse_instance_spec
+from repro.errors import SegmentationFault
 from repro.fleet.report import fleet_report_from_trace, format_fleet_table
 from repro.fleet.scheduler import (
     DROPPED_OUTCOME,
     FleetTallySink,
     InstanceSpec,
     run_fleet,
-    split_instances,
     expand_instances,
 )
 from repro.fleet.traffic import (
@@ -41,10 +41,11 @@ from repro.fleet.traffic import (
     split_by_weight,
 )
 from repro.harness.experiments import EXPERIMENTS, run_experiment
+from repro.harness.pool import split_contiguous
 from repro.harness.soak import run_soak_experiment
-from repro.servers.base import bounded_history_limit
+from repro.servers.base import Request, Response, Server, bounded_history_limit
+from repro.servers.profile import ServerProfile, register_profile, unregister_profile
 from repro.telemetry.events import RequestEnd
-from repro.telemetry.stats import StatsSink
 
 
 # ---------------------------------------------------------------------------
@@ -192,15 +193,17 @@ FLEET_KW = dict(total_requests=240, seed=13)
 
 
 class TestSplitInstances:
+    """The fleet groups its instances with the shared contiguous splitter."""
+
     def test_contiguous_and_complete(self):
         instances = expand_instances([InstanceSpec("apache", "standard", count=7)])
-        groups = split_instances(instances, 3)
+        groups = split_contiguous(instances, 3)
         assert [len(g) for g in groups] == [3, 2, 2]
         assert [i.index for g in groups for i in g] == list(range(7))
 
     def test_more_shards_than_instances(self):
         instances = expand_instances([InstanceSpec("apache", "standard", count=2)])
-        assert [len(g) for g in split_instances(instances, 9)] == [1, 1]
+        assert [len(g) for g in split_contiguous(instances, 9)] == [1, 1]
 
 
 class TestFleetScheduler:
@@ -296,6 +299,74 @@ class TestFleetScheduler:
             InstanceSpec("apache", "standard", weight=0.0)
         with pytest.raises(ValueError):
             run_fleet([], total_requests=10)
+
+
+class SelfBootingServer(Server):
+    """Toy server that cannot restore a checkpoint (``checkpoint_restarts`` False).
+
+    A ``crash`` request kills it; ``login`` is its session setup.  Class-level
+    counters record every boot and login, so a serial fleet run shows who
+    booted and who ran the setup.
+    """
+
+    name = "toy-self-booting"
+    checkpoint_restarts = False
+    boots = 0
+    logins = 0
+
+    def startup(self) -> None:
+        SelfBootingServer.boots += 1
+
+    def handle(self, request: Request) -> Response:
+        if request.kind == "crash":
+            raise SegmentationFault(0, "request smashed the heap")
+        if request.kind == "login":
+            SelfBootingServer.logins += 1
+        return Response.ok(body=b"ok")
+
+
+@pytest.fixture
+def self_booting_profile():
+    profile = register_profile(ServerProfile(
+        name=SelfBootingServer.name,
+        server_cls=SelfBootingServer,
+        figure_rows=("get",),
+        request_factory=lambda kind, index: Request(kind=kind),
+        attack_request=lambda: Request(kind="crash", is_attack=True),
+        follow_ups=lambda: [Request(kind="login")],
+        description="toy server without checkpoint restarts (fleet regression test)",
+    ))
+    SelfBootingServer.boots = SelfBootingServer.logins = 0
+    yield profile
+    unregister_profile(profile.name)
+
+
+class TestServersWithoutCheckpointRestarts:
+    """Regression: run_fleet used to raise on a server class that opts out of
+    checkpoint restarts (``recheckpoint`` needs a boot image).  Each clone now
+    boots itself and runs the session setup, and its restarts reboot."""
+
+    def test_clones_boot_themselves_and_restarts_reboot(self, self_booting_profile):
+        result = run_fleet(
+            [InstanceSpec(SelfBootingServer.name, "standard", count=2, attack_every=5)],
+            total_requests=40, seed=3, workers=0,
+        )
+        for tally in result.instances:
+            assert tally.attack_requests > 0
+            assert tally.server_deaths == tally.attack_requests
+            assert tally.restarts == tally.attack_requests
+            assert tally.boot_deaths == 0
+            assert tally.availability == 1.0
+        # One template boot, one boot per clone, one reboot per restart.
+        assert SelfBootingServer.boots == 1 + 2 + result.restarts
+        # Only the clones run the session setup; restarts do not replay it.
+        assert SelfBootingServer.logins == 2
+
+    def test_pooled_tallies_identical_to_serial(self, self_booting_profile):
+        specs = [InstanceSpec(SelfBootingServer.name, "standard", count=2, attack_every=4)]
+        serial = run_fleet(specs, total_requests=40, seed=5, workers=0)
+        pooled = run_fleet(specs, total_requests=40, seed=5, workers=2)
+        assert serial.tally() == pooled.tally()
 
 
 class TestHistoryGuard:

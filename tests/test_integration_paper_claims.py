@@ -8,11 +8,7 @@ import pytest
 
 from repro.analysis.security import assess_security
 from repro.core.policies import POLICY_NAMES
-from repro.harness.runner import (
-    run_attack_scenario,
-    run_performance_figure,
-    run_security_matrix,
-)
+from repro.harness.engine import ENGINE, ScenarioSpec
 from repro.harness.stability import run_stability_experiment
 from repro.harness.throughput import run_throughput_experiment, throughput_ratio
 from repro.servers import SERVER_CLASSES
@@ -27,7 +23,7 @@ class TestHeadlineSecurityClaims:
 
     @pytest.fixture(scope="class")
     def assessments(self):
-        return assess_security(cells=run_security_matrix(scale=0.1))
+        return assess_security(cells=ENGINE.run_security_matrix(scale=0.1))
 
     def test_all_five_servers_are_reproduced(self):
         assert len(ALL_SERVERS) == 5
@@ -55,12 +51,12 @@ class TestPerformanceClaims:
     I/O-dominated Apache requests see only a few percent of overhead."""
 
     def test_apache_overhead_is_small(self):
-        rows = run_performance_figure("apache", repetitions=8, scale=0.5)
+        rows = ENGINE.run(ScenarioSpec(server="apache", repetitions=8, scale=0.5))
         for row in rows:
             assert row.slowdown < 1.6
 
     def test_interactive_servers_stay_interactive(self):
-        rows = run_performance_figure("mutt", repetitions=6, scale=0.25)
+        rows = ENGINE.run(ScenarioSpec(server="mutt", repetitions=6, scale=0.25))
         for row in rows:
             # The paper's perceptibility threshold is 100 ms.
             assert row.failure_oblivious.mean_ms < 100
@@ -68,8 +64,8 @@ class TestPerformanceClaims:
     def test_failure_oblivious_is_slower_but_not_catastrophic(self):
         # Large bodies give the most stable timings; small-request ratios are
         # noisy at the tens-of-microseconds level when the whole suite runs.
-        rows = run_performance_figure("sendmail", repetitions=8, scale=0.25,
-                                      kinds=["recv_large", "send_large"])
+        rows = ENGINE.run(ScenarioSpec(server="sendmail", repetitions=8, scale=0.25,
+                                       kinds=("recv_large", "send_large")))
         for row in rows:
             assert 0.9 < row.slowdown < 12  # the paper's observed range is ~1x-8x
 
@@ -109,7 +105,8 @@ class TestVariantClaims:
     @pytest.mark.parametrize("policy_name", ["boundless", "redirect"])
     @pytest.mark.parametrize("server_name", ALL_SERVERS)
     def test_variants_also_keep_all_servers_serving(self, server_name, policy_name):
-        scenario = run_attack_scenario(server_name, policy_name, scale=0.1)
+        scenario = ENGINE.run(ScenarioSpec(server=server_name, policy=policy_name,
+                                           workload="attack", scale=0.1))
         assert scenario.survived_attack
         assert scenario.continued_service
 

@@ -4,8 +4,7 @@ import pytest
 
 from repro.core.policies import BoundsCheckPolicy, FailureObliviousPolicy, StandardPolicy
 from repro.errors import BoundsCheckViolation, InfiniteLoopGuard
-from repro.minic import compile_program
-from repro.minic.compiler import CompileError
+from repro.minic.lower import CompileError, compile_program
 from repro.minic.interpreter import MiniCRuntimeError
 
 

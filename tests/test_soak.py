@@ -14,26 +14,29 @@ import os
 import pytest
 
 from repro.harness.engine import ENGINE, ScenarioSpec
-from repro.harness.soak import SoakResult, run_soak_experiment, split_stream
+from repro.harness.pool import split_contiguous
+from repro.harness.soak import SoakResult, run_soak_experiment
 from repro.servers.base import Request
 from repro.telemetry.session import TelemetrySession
 from repro.telemetry.summary import summarize_jsonl
 
 
 class TestSplitStream:
+    """The soak shards its request stream with the shared contiguous splitter."""
+
     def test_contiguous_and_complete(self):
         requests = [Request(kind="k", payload={"i": i}) for i in range(11)]
-        chunks = split_stream(requests, 4)
+        chunks = split_contiguous(requests, 4)
         assert [len(c) for c in chunks] == [3, 3, 3, 2]
         assert [r.payload["i"] for c in chunks for r in c] == list(range(11))
 
     def test_more_shards_than_requests(self):
         requests = [Request(kind="k") for _ in range(2)]
-        assert [len(c) for c in split_stream(requests, 8)] == [1, 1]
+        assert [len(c) for c in split_contiguous(requests, 8)] == [1, 1]
 
     def test_rejects_nonpositive_shards(self):
         with pytest.raises(ValueError):
-            split_stream([], 0)
+            split_contiguous([], 0)
 
 
 SOAK_KW = dict(total_requests=60, attack_every=3, shards=4, seed=7)
